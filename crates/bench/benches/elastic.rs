@@ -7,18 +7,16 @@
 //! arriving at a fixed rate well above the single replica's service rate, so
 //! the lone replica is the bottleneck and back-pressure stacks up behind it.
 //! The elastic run's scripted policy reacts at the second punctuation
-//! boundary by scaling out 1→4, and the replica threads then overlap their
-//! blocking waits.  The fixed run keeps one active replica for the whole
+//! boundary by scaling out 1→4, and the replicas then overlap their
+//! blocking waits (the pool runs one worker per plan node, so a replica
+//! blocked in a lookup holds only its own worker).  The fixed run keeps one active replica for the whole
 //! stream — same plan shape, same dormant nodes, no resize — so the
 //! comparison isolates exactly the elasticity.
 //!
-//! The ingress pacing is load-bearing for more than realism: the
-//! Migrate/Ack/Commit handshake rides the control channels while the shuffle
-//! buffers arrivals, and a source that can drain instantly would race its
-//! end-of-stream against the acks (forcing the protocol's cancel-at-flush
-//! path and a full-width-1 replay).  With arrivals spread over tens of
-//! milliseconds the handshake always commits mid-stream, which is the
-//! scenario the bench is about.
+//! While the Migrate/Ack/Commit handshake rides the control channels the
+//! shuffle holds its input, so arrivals queue upstream under back-pressure
+//! and the resize always commits mid-stream, which is the scenario the bench
+//! is about.
 //!
 //! Every run is checked, not just timed: the elastic digest must be
 //! byte-identical to the fixed run, `feedback_dropped` must be 0, the resize
@@ -32,7 +30,7 @@
 //! a smoke and uploads the JSON artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dsms_engine::{ExecutionReport, StreamBuilder, ThreadedExecutor};
+use dsms_engine::{ExecutionReport, PooledExecutor, StreamBuilder};
 use dsms_operators::{
     Costed, ElasticPolicy, Merge, Select, Shuffle, StreamOps, TuplePredicate, VecSource,
 };
@@ -77,9 +75,9 @@ struct RunResult {
     report: ExecutionReport,
 }
 
-/// Runs the stage with the given policy on the threaded executor.  The stage
-/// is always built at `MAX_WIDTH`; the policy decides whether it ever leaves
-/// a single active replica.
+/// Runs the stage with the given policy on a pool with one worker per node.
+/// The stage is always built at `MAX_WIDTH`; the policy decides whether it
+/// ever leaves a single active replica.
 fn run_once(policy: ElasticPolicy, config: &'static str) -> RunResult {
     let builder = StreamBuilder::new().with_page_capacity(8).with_queue_capacity(2);
     let shuffle = Shuffle::new("shuffle", schema(), &["key"], MAX_WIDTH).expect("valid shuffle");
@@ -103,8 +101,9 @@ fn run_once(policy: ElasticPolicy, config: &'static str) -> RunResult {
         .expect("stage")
         .sink_collect("sink")
         .expect("sink");
-    let report: ExecutionReport =
-        ThreadedExecutor::run(builder.build().expect("plan")).expect("run");
+    let plan = builder.build().expect("plan");
+    let workers = plan.node_count();
+    let report: ExecutionReport = PooledExecutor::run_with_workers(plan, workers).expect("run");
 
     let collected = results.lock();
     let mut rows: Vec<String> = collected.iter().map(|t| format!("{:?}", t.values())).collect();

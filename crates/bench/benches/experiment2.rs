@@ -1,11 +1,12 @@
 //! Criterion bench for Experiment 2 (Figure 7), scaled down: the speed-map
-//! plan under schemes F0–F3 at a 2-minute viewport-change frequency.
+//! plan under schemes F0–F3 at a 2-minute viewport-change frequency, on the
+//! deterministic executor `run_experiment2` uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsms_bench::experiments::Scheme;
 use dsms_bench::plans::speedmap_plan;
 use dsms_bench::Experiment2Config;
-use dsms_engine::ThreadedExecutor;
+use dsms_engine::SyncExecutor;
 use dsms_types::StreamDuration;
 use dsms_workloads::TrafficConfig;
 
@@ -33,7 +34,7 @@ fn experiment2(c: &mut Criterion) {
                     let (plan, _handles) =
                         speedmap_plan(&config, scheme, StreamDuration::from_minutes(2))
                             .expect("plan");
-                    ThreadedExecutor::run(plan).expect("run failed")
+                    SyncExecutor::run(plan).expect("run failed")
                 });
             },
         );

@@ -5,9 +5,9 @@
 //!
 //! * **midstream** — feedback sent while data is still flowing, the paper's
 //!   common case (a viewport change, an assumed punctuation).  Under the
-//!   threaded executor this exercises the event-driven control path: the
-//!   source must be woken from its channel wait by the control message, not
-//!   by a poll timer.
+//!   pooled executor (one worker per node) this exercises the event-driven
+//!   control path: the source task must be woken by the control message's
+//!   queue notification, not by a poll timer.
 //! * **at_flush** — feedback sent from the sink's `on_flush`, the case the
 //!   drain protocol exists for: every upstream operator has already finished
 //!   producing, yet the message must still be relayed to the (live) source.
@@ -22,8 +22,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsms_engine::{
-    EngineResult, Operator, OperatorContext, SourceState, StreamBuilder, SyncExecutor,
-    ThreadedExecutor,
+    EngineResult, Operator, OperatorContext, PooledExecutor, SourceState, StreamBuilder,
+    SyncExecutor,
 };
 use dsms_feedback::FeedbackPunctuation;
 use dsms_punctuation::{Pattern, PatternItem};
@@ -148,7 +148,7 @@ impl Operator for ProbeSink {
 }
 
 /// Runs one plan and returns the observed sink→source feedback latency.
-fn run_once(threaded: bool, at_flush: bool) -> Duration {
+fn run_once(pooled: bool, at_flush: bool) -> Duration {
     let probe = Probe::default();
     let builder = StreamBuilder::new().with_page_capacity(64).with_queue_capacity(16);
     builder
@@ -157,8 +157,9 @@ fn run_once(threaded: bool, at_flush: bool) -> Duration {
         .sink(ProbeSink { probe: probe.clone(), at_flush, seen: 0, sent: false })
         .unwrap();
     let plan = builder.build().unwrap();
-    let report = if threaded {
-        ThreadedExecutor::run(plan).expect("run failed")
+    let report = if pooled {
+        let workers = plan.node_count();
+        PooledExecutor::run_with_workers(plan, workers).expect("run failed")
     } else {
         SyncExecutor::run(plan).expect("run failed")
     };
@@ -200,13 +201,13 @@ fn feedback_latency(c: &mut Criterion) {
     group.sample_size(10);
 
     let mut stats: Vec<ScenarioStats> = Vec::new();
-    for (executor, threaded) in [("sync", false), ("threaded", true)] {
+    for (executor, pooled) in [("sync", false), ("pooled", true)] {
         for (scenario, at_flush) in [("midstream", false), ("at_flush", true)] {
             let samples = Arc::new(Mutex::new(Vec::new()));
             let recorded = samples.clone();
             group.bench_function(format!("{executor}/{scenario}"), |b| {
                 b.iter(|| {
-                    let latency = run_once(threaded, at_flush);
+                    let latency = run_once(pooled, at_flush);
                     recorded.lock().push(latency);
                     latency
                 })

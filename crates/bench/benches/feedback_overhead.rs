@@ -1,13 +1,14 @@
 //! Ablation for the paper's "no discernible overhead as the frequency of
 //! feedback increases" observation: the speed-map plan under scheme F2 with
 //! viewport changes every 1, 2, 4 and 6 minutes, plus the feedback-free
-//! baseline, on the same (scaled-down) stream.
+//! baseline, on the same (scaled-down) stream.  Each run uses a pool with one
+//! worker per plan node, the thread-per-operator shape of the paper's engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsms_bench::experiments::Scheme;
 use dsms_bench::plans::speedmap_plan;
 use dsms_bench::Experiment2Config;
-use dsms_engine::ThreadedExecutor;
+use dsms_engine::{PooledExecutor, QueryPlan};
 use dsms_types::StreamDuration;
 use dsms_workloads::TrafficConfig;
 
@@ -22,6 +23,11 @@ fn bench_config() -> Experiment2Config {
     }
 }
 
+fn run(plan: QueryPlan) {
+    let workers = plan.node_count();
+    PooledExecutor::run_with_workers(plan, workers).expect("run failed");
+}
+
 fn feedback_overhead(c: &mut Criterion) {
     let config = bench_config();
     let mut group = c.benchmark_group("feedback_frequency_overhead");
@@ -31,7 +37,7 @@ fn feedback_overhead(c: &mut Criterion) {
         b.iter(|| {
             let (plan, _h) =
                 speedmap_plan(&config, Scheme::F0, StreamDuration::from_minutes(2)).unwrap();
-            ThreadedExecutor::run(plan).expect("run failed")
+            run(plan)
         })
     });
     for minutes in [1i64, 2, 4, 6] {
@@ -43,7 +49,7 @@ fn feedback_overhead(c: &mut Criterion) {
                     let (plan, _h) =
                         speedmap_plan(&config, Scheme::F2, StreamDuration::from_minutes(minutes))
                             .unwrap();
-                    ThreadedExecutor::run(plan).expect("run failed")
+                    run(plan)
                 })
             },
         );

@@ -3,11 +3,12 @@
 //! NiagaraST batches tuples into pages to limit context switching between
 //! operator threads (Section 5); punctuation flushes partial pages so slow
 //! streams are not starved.  This bench sweeps the page capacity of a simple
-//! pipelined plan under the threaded executor to show the batching trade-off
-//! the paper's engine design relies on.
+//! pipelined plan under the pooled executor, one worker per operator as in
+//! NiagaraST, to show the batching trade-off the paper's engine design
+//! relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dsms_engine::{StreamBuilder, ThreadedExecutor};
+use dsms_engine::{PooledExecutor, StreamBuilder};
 use dsms_operators::{StreamOps, TuplePredicate, VecSource};
 use dsms_types::{DataType, Schema, SchemaRef, StreamDuration, Timestamp, Tuple, Value};
 
@@ -36,7 +37,9 @@ fn run_with_page_capacity(tuples: &[Tuple], page_capacity: usize) {
         .unwrap()
         .sink_collect("sink")
         .unwrap();
-    ThreadedExecutor::run(builder.build().unwrap()).expect("run failed");
+    let plan = builder.build().unwrap();
+    let workers = plan.node_count();
+    PooledExecutor::run_with_workers(plan, workers).expect("run failed");
 }
 
 fn paging(c: &mut Criterion) {

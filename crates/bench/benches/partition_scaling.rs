@@ -4,10 +4,11 @@
 //! stream with the stage replicated across 1 / 2 / 4 / 8 hash partitions
 //! (`TrafficConfig::partition_scaling`, ≈6.9k tuples, 384 distinct detector
 //! keys).  The stage's per-tuple cost models a **blocking archive lookup**
-//! (Experiment 1's expensive operator), so replica threads overlap their
-//! waits and the threaded executor scales with the partition count even on a
-//! single-core machine; a spinning (CPU-bound) stage would additionally need
-//! physical cores.
+//! (Experiment 1's expensive operator).  The pooled runs use one worker per
+//! plan node, so a replica blocked in a lookup holds only its own worker:
+//! the replicas overlap their waits and throughput scales with the
+//! partition count even on a single-core machine; a spinning (CPU-bound)
+//! stage would additionally need physical cores.
 //!
 //! Every run is checked for correctness, not just timed:
 //!
@@ -16,7 +17,7 @@
 //!   not change the result multiset;
 //! * `feedback_dropped` must be 0 everywhere (each run sends one mid-stream
 //!   feedback message through the merge→replica broadcast path);
-//! * the 4-partition threaded run must beat the 1-partition threaded run by
+//! * the 4-partition pooled run must beat the 1-partition pooled run by
 //!   more than 1.5× throughput.
 //!
 //! Besides the criterion-style timing lines, the bench writes a JSON report
@@ -28,7 +29,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsms_bench::plans::partition_scaling_plan;
-use dsms_engine::{ExecutionReport, SyncExecutor, ThreadedExecutor};
+use dsms_engine::{ExecutionReport, PooledExecutor, SyncExecutor};
 use dsms_types::Tuple;
 use dsms_workloads::{TrafficConfig, TrafficGenerator};
 use std::collections::hash_map::DefaultHasher;
@@ -56,11 +57,12 @@ struct RunResult {
 }
 
 /// Runs one configuration and returns timing plus correctness evidence.
-fn run_once(tuples: &[Tuple], partitions: usize, threaded: bool) -> RunResult {
+fn run_once(tuples: &[Tuple], partitions: usize, pooled: bool) -> RunResult {
     let (plan, handles) =
         partition_scaling_plan(tuples.to_vec(), partitions, LOOKUP_COST).expect("valid plan");
-    let report: ExecutionReport = if threaded {
-        ThreadedExecutor::run(plan).expect("run failed")
+    let report: ExecutionReport = if pooled {
+        let workers = plan.node_count();
+        PooledExecutor::run_with_workers(plan, workers).expect("run failed")
     } else {
         SyncExecutor::run(plan).expect("run failed")
     };
@@ -74,7 +76,7 @@ fn run_once(tuples: &[Tuple], partitions: usize, threaded: bool) -> RunResult {
     let source = report.operator("traffic-source").expect("source metrics");
     RunResult {
         partitions,
-        executor: if threaded { "threaded" } else { "sync" },
+        executor: if pooled { "pooled" } else { "sync" },
         elapsed: report.elapsed,
         tuples: source.tuples_out,
         throughput_tps: source.tuples_out as f64 / report.elapsed.as_secs_f64().max(1e-9),
@@ -113,13 +115,13 @@ fn partition_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition_scaling");
     group.sample_size(3);
 
-    // Timed series: the threaded executor across the partition counts.  The
+    // Timed series: the pooled executor across the partition counts.  The
     // recorded result is the best (min-elapsed) run per configuration, the
     // shim's own timing lines aside.
     let mut best: Vec<RunResult> = Vec::new();
     for &partitions in &PARTITIONS {
         let mut local: Option<RunResult> = None;
-        group.bench_function(format!("threaded/{partitions}"), |b| {
+        group.bench_function(format!("pooled/{partitions}"), |b| {
             b.iter(|| {
                 let result = run_once(&tuples, partitions, true);
                 assert_eq!(result.feedback_dropped, 0, "feedback must not be dropped");
@@ -154,7 +156,7 @@ fn partition_scaling(c: &mut Criterion) {
     let at4 = best.iter().find(|r| r.partitions == 4).expect("4-partition run");
     let speedup4 = at4.throughput_tps / base;
     println!(
-        "partition_scaling: threaded speedup vs 1 partition: {}",
+        "partition_scaling: pooled speedup vs 1 partition: {}",
         best.iter()
             .map(|r| format!("{}p={:.2}x", r.partitions, r.throughput_tps / base))
             .collect::<Vec<_>>()

@@ -1,7 +1,7 @@
 //! Experiment drivers: Section 6 of the paper, as runnable functions.
 
 use crate::plans::{imputation_plan, speedmap_plan};
-use dsms_engine::{EngineResult, ThreadedExecutor};
+use dsms_engine::{EngineResult, PooledExecutor, SyncExecutor};
 use dsms_types::{StreamDuration, Timestamp};
 use dsms_workloads::{ImputationConfig, TrafficConfig};
 use serde::Serialize;
@@ -120,7 +120,10 @@ pub fn run_experiment1(
     feedback: bool,
 ) -> EngineResult<Experiment1Result> {
     let (plan, handles) = imputation_plan(config, feedback)?;
-    let report = ThreadedExecutor::run(plan)?;
+    // One worker per node: the paced source and the archival lookups overlap
+    // with the clean branch, as they would with a thread per operator.
+    let workers = plan.node_count();
+    let report = PooledExecutor::run_with_workers(plan, workers)?;
 
     let arrivals = handles.output.lock();
     let mut series = Vec::with_capacity(arrivals.len());
@@ -300,7 +303,9 @@ pub fn run_experiment2(
         for scheme in Scheme::ALL {
             let (plan, handles) =
                 speedmap_plan(config, scheme, StreamDuration::from_minutes(minutes))?;
-            let report = ThreadedExecutor::run(plan)?;
+            // Deterministic: the scheme ordering must not depend on how a
+            // pool happens to interleave the aggregates.
+            let report = SyncExecutor::run(plan)?;
             cells.push(Experiment2Cell {
                 scheme,
                 zoom_frequency_minutes: minutes,

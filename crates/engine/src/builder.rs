@@ -183,7 +183,7 @@ impl StreamBuilder {
         self
     }
 
-    /// Sets the pages-in-flight bound used on every connection (threaded
+    /// Sets the pages-in-flight bound used on every connection (pooled
     /// executor back-pressure).
     pub fn with_queue_capacity(self, capacity: usize) -> Self {
         {
@@ -878,8 +878,9 @@ impl Operator for FeedbackSubscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{SyncExecutor, ThreadedExecutor};
+    use crate::executor::SyncExecutor;
     use crate::operator::StreamItem;
+    use crate::pooled::PooledExecutor;
     use dsms_feedback::FeedbackIntent;
     use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, Timestamp, Tuple, Value};
@@ -1007,7 +1008,7 @@ mod tests {
 
     #[test]
     fn fluent_pipeline_lowers_and_runs_on_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let builder = StreamBuilder::new().with_page_capacity(4).with_queue_capacity(4);
             let (sink, seen) = TestSink::new(schema());
             builder
@@ -1020,12 +1021,12 @@ mod tests {
             let plan = builder.build().unwrap();
             assert_eq!(plan.node_count(), 3);
             assert_eq!(plan.edge_count(), 2);
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
             } else {
                 SyncExecutor::run(plan).unwrap()
             };
-            assert_eq!(seen.lock().len(), 20, "threaded={threaded}");
+            assert_eq!(seen.lock().len(), 20, "pooled={pooled}");
             assert_eq!(report.operator("unaware-pass").unwrap().tuples_in, 20);
         }
     }
@@ -1130,7 +1131,7 @@ mod tests {
 
     #[test]
     fn subscriptions_fire_after_the_declared_tuple_count_on_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let builder = StreamBuilder::new().with_page_capacity(4).with_queue_capacity(4);
             let source = TestSource::new(40);
             let suppressed = source.suppressed.clone();
@@ -1146,13 +1147,13 @@ mod tests {
                 .sink(sink)
                 .unwrap();
             let plan = builder.build().unwrap();
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
             } else {
                 SyncExecutor::run(plan).unwrap()
             };
             let received = suppressed.lock();
-            assert_eq!(received.len(), 1, "threaded={threaded}");
+            assert_eq!(received.len(), 1, "pooled={pooled}");
             assert_eq!(received[0].intent(), FeedbackIntent::Assumed);
             assert_eq!(received[0].pattern(), &pattern);
             assert_eq!(received[0].issuer(), "test-sink", "default issuer is the subscriber");

@@ -17,12 +17,12 @@ use std::fmt;
 pub enum ControlMessage {
     /// The sender of this control stream is done.  Downstream (on the data
     /// queue) it means the producer has finished and no more pages will
-    /// arrive.  Upstream (on the control channel) it is the threaded
-    /// executor's *drain handshake*: the consumer promises it will send no
+    /// arrive.  Upstream (on the control channel) it is the lifecycle's
+    /// *drain handshake*: the consumer promises it will send no
     /// further control messages on this connection, releasing the producer
     /// from its post-flush drain phase.
     EndOfStream,
-    /// Either direction: tear the query down.  The threaded executor sends
+    /// Either direction: tear the query down.  The pooled executor sends
     /// it upstream when an operator fails, so producers stop generating data
     /// nobody will read.
     Shutdown,

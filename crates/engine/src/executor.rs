@@ -1,41 +1,38 @@
 //! Plan execution.
 //!
-//! Three executors run the same [`QueryPlan`]s and the same operator code,
-//! all driving every operator through the one lifecycle state machine in
+//! Two executors run the same [`QueryPlan`]s and the same operator code,
+//! both driving every operator through the one lifecycle state machine in
 //! the private `lifecycle` module:
 //!
-//! * [`ThreadedExecutor`] — NiagaraST's model made event-driven: one OS
-//!   thread per operator, bounded page queues between them (back-pressure),
-//!   and an out-of-band control channel per connection that is drained with
-//!   priority before data is processed.  Idle threads *block* on a
-//!   condvar-based multi-receiver wait spanning every input data queue and
-//!   every downstream control channel — there is no sleep-polling anywhere in
-//!   the runtime, so an idle operator costs zero CPU and reacts to the next
-//!   page or feedback message the moment it arrives.
 //! * [`crate::pooled::PooledExecutor`] — the whole plan on a fixed pool of
 //!   worker threads with per-worker run queues and work stealing.  Operators
 //!   become scheduler *tasks* rather than threads: readiness is driven by
 //!   queue notifications (data available, credit regained, control pending),
 //!   and a worker runs an operator until it exhausts its step budget or goes
 //!   idle, so plans much wider than the machine (64 operators on 4 cores)
-//!   run without 64 stacks and the attendant context-switch storm.
+//!   run without 64 stacks and the attendant context-switch storm.  Sized to
+//!   one worker per node it also gives NiagaraST's thread-per-operator
+//!   overlap: a blocking operator holds only its own worker.
 //! * [`SyncExecutor`] — a deterministic single-threaded scheduler that
 //!   round-robins operators in topological order.  It produces bit-identical
 //!   results run-to-run and is what most unit and integration tests use.
 //!
-//! All deliver feedback punctuation *against* the data flow: an operator
+//! Both deliver feedback punctuation *against* the data flow: an operator
 //! calls [`OperatorContext::send_feedback`] naming one of its *input* ports,
 //! and the executor hands the message to the operator attached upstream of
-//! that port, invoking its [`Operator::on_feedback`] callback with high
-//! priority.  Data moves between operators page-at-a-time through the
-//! [`Operator::on_page`] batch hook, and routing uses precomputed
-//! port-to-edge tables rather than scanning the edge list per item.
+//! that port, invoking its
+//! [`Operator::on_feedback`](crate::Operator::on_feedback) callback with
+//! high priority.  Data moves between operators page-at-a-time through the
+//! [`Operator::on_page`](crate::Operator::on_page) batch hook, and routing
+//! uses precomputed port-to-edge tables rather than scanning the edge list
+//! per item.
 //!
 //! # The drain protocol
 //!
 //! Feedback is often produced exactly at end-of-stream — a sink's
-//! [`Operator::on_flush`] summarising what it no longer needs — which is the
-//! moment a naive runtime has already torn down the upstream operators.
+//! [`Operator::on_flush`](crate::Operator::on_flush) summarising what it no
+//! longer needs — which is the moment a naive runtime has already torn down
+//! the upstream operators.
 //! Every executor therefore ends every operator in three phases:
 //!
 //! 1. **flush** — `on_flush`, remaining partial pages, then data
@@ -55,20 +52,18 @@
 //! counted in [`OperatorMetrics::feedback_dropped`] rather than dropped
 //! silently.  When an operator fails, [`ControlMessage::Shutdown`] relays
 //! upstream so producers stop generating data nobody will read and the
-//! query tears down promptly.  The full protocol, shared verbatim by all
-//! three executors, lives in the `lifecycle` module and is documented in
+//! query tears down promptly.  The full protocol, shared verbatim by both
+//! executors, lives in the `lifecycle` module and is documented in
 //! `docs/SCHEDULER.md`.
 
 use crate::control::ControlMessage;
 use crate::error::{EngineError, EngineResult};
 use crate::lifecycle::{LifecyclePorts, NodeMachine, StepOutcome};
 use crate::metrics::{OperatorMetrics, RecoverySummary, SchedulerSummary};
-use crate::operator::{Operator, OperatorContext, StreamItem};
+use crate::operator::{OperatorContext, StreamItem};
 use crate::page::{Page, PageBuilder};
 use crate::plan::{NodeId, QueryPlan};
-use crate::queue::{
-    wait_any, ConsumerEnd, ControlPoll, DataPoll, DataQueue, ProducerEnd, QueueMessage,
-};
+use crate::queue::{ControlPoll, DataPoll, QueueMessage};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -80,7 +75,7 @@ pub struct ExecutionReport {
     /// Per-operator metrics, in plan node order.
     pub metrics: Vec<OperatorMetrics>,
     /// Pool-wide scheduler counters.  `Some` for pooled runs, `None` for the
-    /// sync and threaded executors (which have no scheduler).
+    /// sync executor (which has no scheduler).
     pub scheduler: Option<SchedulerSummary>,
 }
 
@@ -361,7 +356,8 @@ impl SyncExecutor {
             .collect();
         let mut metrics: Vec<OperatorMetrics> =
             plan.nodes.iter().map(|n| OperatorMetrics::new(n.name.clone())).collect();
-        let mut ctx = OperatorContext::new();
+        let mut contexts: Vec<OperatorContext> =
+            (0..node_count).map(|_| OperatorContext::new()).collect();
 
         // Round-robin in topological order, one lifecycle step (budget 1) per
         // node per round, until every machine has released.  The machine runs
@@ -378,7 +374,13 @@ impl SyncExecutor {
                 }
                 let mut ports = SyncPorts { state: &mut states[n], edges: &mut edges };
                 let outcome = machines[n]
-                    .step(plan.nodes[n].operator.as_mut(), &mut ports, &mut metrics[n], &mut ctx, 1)
+                    .step(
+                        plan.nodes[n].operator.as_mut(),
+                        &mut ports,
+                        &mut metrics[n],
+                        &mut contexts[n],
+                        1,
+                    )
                     .map_err(|err| wrap(&plan, n, err))?;
                 match outcome {
                     StepOutcome::Yield | StepOutcome::Done => activity = true,
@@ -410,7 +412,7 @@ impl SyncExecutor {
 fn wrap(plan: &QueryPlan, node: usize, err: EngineError) -> EngineError {
     match err {
         // The lifecycle's guarded dispatch already attributed the failure —
-        // keep its text identical across all three executors.
+        // keep its text identical across both executors.
         named @ EngineError::OperatorFailed { .. } => named,
         other => EngineError::OperatorFailed {
             operator: plan.nodes[node].name.clone(),
@@ -431,360 +433,11 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Threaded (NiagaraST-style, event-driven) executor
-// ---------------------------------------------------------------------------
-
-/// One OS thread per operator, bounded page queues, out-of-band control.
-/// Event-driven: idle threads block on channel events (no sleep-polling),
-/// and end-of-stream runs the flush → drain → release protocol described in
-/// the module docs so flush-time feedback is delivered upstream.
-pub struct ThreadedExecutor;
-
-/// A node's view of one incoming connection.
-struct ThreadedInput {
-    /// Input port the connection is attached to.
-    port: usize,
-    consumer: ConsumerEnd,
-    /// Still expecting data: no end-of-stream (or hang-up) observed yet.
-    open: bool,
-}
-
-/// A node's view of one outgoing connection.
-struct ThreadedOutput {
-    /// Output port the connection is attached to.
-    port: usize,
-    producer: ProducerEnd,
-    builder: PageBuilder,
-    /// The downstream consumer may still send control messages: its control
-    /// end-of-stream handshake has not arrived and it has not hung up.
-    control_open: bool,
-    /// The data queue still has a live consumer (no send has failed).
-    data_open: bool,
-}
-
-/// [`LifecyclePorts`] over a node's blocking channel endpoints.
-struct ThreadedPorts {
-    inputs: Vec<ThreadedInput>,
-    outputs: Vec<ThreadedOutput>,
-    /// input port → index into `inputs` (dense routing table).
-    in_route: Vec<Option<usize>>,
-    /// output port → index into `outputs` (dense routing table).
-    out_route: Vec<Option<usize>>,
-}
-
-struct ThreadedNode {
-    name: String,
-    operator: Box<dyn Operator>,
-    ports: ThreadedPorts,
-    recovery: crate::plan::RecoveryPolicy,
-    quarantine: bool,
-    checkpoint_interval: u64,
-}
-
-impl ThreadedPorts {
-    /// Parks the thread until any open input has data or any open downstream
-    /// control channel has traffic (or an endpoint hangs up).  Event-driven:
-    /// the multi-receiver wait is condvar-based, so an idle operator consumes
-    /// no CPU.
-    fn block_on_events(&self, include_inputs: bool) {
-        let inputs: Vec<&ConsumerEnd> = if include_inputs {
-            self.inputs.iter().filter(|i| i.open).map(|i| &i.consumer).collect()
-        } else {
-            Vec::new()
-        };
-        let outputs: Vec<&ProducerEnd> =
-            self.outputs.iter().filter(|o| o.control_open).map(|o| &o.producer).collect();
-        wait_any(&inputs, &outputs);
-    }
-}
-
-impl LifecyclePorts for ThreadedPorts {
-    fn in_count(&self) -> usize {
-        self.inputs.len()
-    }
-    fn in_port(&self, slot: usize) -> usize {
-        self.inputs[slot].port
-    }
-    fn in_open(&self, slot: usize) -> bool {
-        self.inputs[slot].open
-    }
-    fn close_in(&mut self, slot: usize) {
-        self.inputs[slot].open = false;
-    }
-    fn poll_in(&mut self, slot: usize) -> DataPoll {
-        self.inputs[slot].consumer.poll_data()
-    }
-    fn in_depth(&self, slot: usize) -> usize {
-        self.inputs[slot].consumer.pending()
-    }
-    fn in_slot(&self, port: usize) -> Option<usize> {
-        self.in_route.get(port).copied().flatten()
-    }
-    fn send_control(&mut self, slot: usize, message: ControlMessage) -> bool {
-        self.inputs[slot].consumer.send_control(message)
-    }
-
-    fn out_count(&self) -> usize {
-        self.outputs.len()
-    }
-    fn out_port(&self, slot: usize) -> usize {
-        self.outputs[slot].port
-    }
-    fn out_slot(&self, port: usize) -> Option<usize> {
-        self.out_route.get(port).copied().flatten()
-    }
-    fn out_data_open(&self, slot: usize) -> bool {
-        self.outputs[slot].data_open
-    }
-    fn push_item(&mut self, slot: usize, item: StreamItem, metrics: &mut OperatorMetrics) {
-        let output = &mut self.outputs[slot];
-        match item {
-            StreamItem::Tuple(t) => {
-                if let Some(page) = output.builder.push_tuple(t) {
-                    metrics.pages_out += 1;
-                    if !output.producer.send_page(page) {
-                        output.data_open = false;
-                    }
-                }
-            }
-            StreamItem::Punctuation(p) => {
-                let page = output.builder.push_punctuation(p);
-                metrics.pages_out += 1;
-                if !output.producer.send_page(page) {
-                    output.data_open = false;
-                }
-            }
-        }
-    }
-    fn push_page(&mut self, slot: usize, page: Page, metrics: &mut OperatorMetrics) {
-        let output = &mut self.outputs[slot];
-        if let Some(partial) = output.builder.flush() {
-            metrics.pages_out += 1;
-            if output.data_open && !output.producer.send_page(partial) {
-                output.data_open = false;
-            }
-        }
-        metrics.pages_out += 1;
-        if output.data_open && !output.producer.send_page(page) {
-            output.data_open = false;
-        }
-    }
-    fn flush_out(&mut self, slot: usize, metrics: &mut OperatorMetrics) {
-        let output = &mut self.outputs[slot];
-        if let Some(page) = output.builder.flush() {
-            metrics.pages_out += 1;
-            if output.data_open && !output.producer.send_page(page) {
-                output.data_open = false;
-            }
-        }
-    }
-    fn send_eos(&mut self, slot: usize) {
-        self.outputs[slot].producer.send_end_of_stream();
-    }
-    fn control_open(&self, slot: usize) -> bool {
-        self.outputs[slot].control_open
-    }
-    fn close_control(&mut self, slot: usize) {
-        self.outputs[slot].control_open = false;
-    }
-    fn poll_control(&mut self, slot: usize) -> ControlPoll {
-        self.outputs[slot].producer.poll_control()
-    }
-}
-
-impl ThreadedExecutor {
-    /// Runs the plan to completion, one thread per operator.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dsms_engine::{Operator, OperatorContext, QueryPlan, SourceState, ThreadedExecutor};
-    /// # use dsms_engine::EngineResult;
-    /// # use dsms_types::{DataType, Schema, Tuple, Value};
-    /// # struct Nums(i64);
-    /// # impl Operator for Nums {
-    /// #     fn name(&self) -> &str { "nums" }
-    /// #     fn inputs(&self) -> usize { 0 }
-    /// #     fn on_tuple(&mut self, _: usize, _: Tuple, _: &mut OperatorContext) -> EngineResult<()> { Ok(()) }
-    /// #     fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-    /// #         if self.0 >= 100 { return Ok(SourceState::Exhausted); }
-    /// #         let schema = Schema::shared(&[("v", DataType::Int)]);
-    /// #         ctx.emit(0, Tuple::new(schema, vec![Value::Int(self.0)]));
-    /// #         self.0 += 1;
-    /// #         Ok(SourceState::Producing)
-    /// #     }
-    /// # }
-    /// # struct Count(u64);
-    /// # impl Operator for Count {
-    /// #     fn name(&self) -> &str { "count" }
-    /// #     fn inputs(&self) -> usize { 1 }
-    /// #     fn outputs(&self) -> usize { 0 }
-    /// #     fn on_tuple(&mut self, _: usize, _: Tuple, _: &mut OperatorContext) -> EngineResult<()> {
-    /// #         self.0 += 1;
-    /// #         Ok(())
-    /// #     }
-    /// # }
-    ///
-    /// // Same operator code as under `SyncExecutor`, now one thread per
-    /// // operator with bounded queues (back-pressure) between them.
-    /// let mut plan = QueryPlan::new().with_queue_capacity(4);
-    /// let source = plan.add(Nums(0));
-    /// let sink = plan.add(Count(0));
-    /// plan.connect_simple(source, sink)?;
-    ///
-    /// let report = ThreadedExecutor::run(plan)?;
-    /// assert_eq!(report.operator("nums").unwrap().tuples_out, 100);
-    /// assert_eq!(report.total_feedback_dropped(), 0);
-    /// # Ok::<(), dsms_engine::EngineError>(())
-    /// ```
-    pub fn run(mut plan: QueryPlan) -> EngineResult<ExecutionReport> {
-        plan.validate()?;
-        let started = Instant::now();
-        let page_capacity = plan.page_capacity;
-        let queue_capacity = plan.queue_capacity;
-
-        // Build one connection per edge.
-        let mut producer_ends: Vec<Option<ProducerEnd>> = Vec::new();
-        let mut consumer_ends: Vec<Option<ConsumerEnd>> = Vec::new();
-        for _ in &plan.edges {
-            let (p, c) = DataQueue::connection(queue_capacity);
-            producer_ends.push(Some(p));
-            consumer_ends.push(Some(c));
-        }
-
-        // Assemble per-node runtimes with dense port routing tables.
-        let mut runtimes: Vec<ThreadedNode> = Vec::with_capacity(plan.nodes.len());
-        let edges = plan.edges.clone();
-        let recovery_policies = plan.recovery.clone();
-        let quarantines = plan.quarantine.clone();
-        let checkpoint_interval = plan.checkpoint_interval;
-        for (idx, node) in plan.nodes.drain(..).enumerate() {
-            let mut inputs = Vec::new();
-            let mut outputs = Vec::new();
-            let mut in_route = vec![None; node.inputs];
-            let mut out_route = vec![None; node.outputs];
-            for (e_idx, e) in edges.iter().enumerate() {
-                if e.to.0 == idx {
-                    in_route[e.to_port] = Some(inputs.len());
-                    inputs.push(ThreadedInput {
-                        port: e.to_port,
-                        consumer: consumer_ends[e_idx].take().expect("consumer end taken once"),
-                        open: true,
-                    });
-                }
-                if e.from.0 == idx {
-                    out_route[e.from_port] = Some(outputs.len());
-                    outputs.push(ThreadedOutput {
-                        port: e.from_port,
-                        producer: producer_ends[e_idx].take().expect("producer end taken once"),
-                        builder: PageBuilder::new(page_capacity),
-                        control_open: true,
-                        data_open: true,
-                    });
-                }
-            }
-            runtimes.push(ThreadedNode {
-                name: node.name,
-                operator: node.operator,
-                ports: ThreadedPorts { inputs, outputs, in_route, out_route },
-                recovery: recovery_policies[idx],
-                quarantine: quarantines[idx],
-                checkpoint_interval,
-            });
-        }
-
-        // Run each node on its own thread; remember each node's name so a
-        // panicking operator can be identified at join time.
-        let handles: Vec<_> = runtimes
-            .into_iter()
-            .map(|node| {
-                let name = node.name.clone();
-                (name, std::thread::spawn(move || run_threaded_node(node)))
-            })
-            .collect();
-
-        let mut metrics = Vec::with_capacity(handles.len());
-        let mut first_error: Option<EngineError> = None;
-        for (name, handle) in handles {
-            match handle.join() {
-                Ok(Ok(m)) => metrics.push(m),
-                Ok(Err(e)) => first_error = first_error.or(Some(e)),
-                Err(payload) => {
-                    first_error = first_error.or(Some(EngineError::OperatorFailed {
-                        operator: name,
-                        detail: format!(
-                            "operator thread panicked: {}",
-                            panic_detail(payload.as_ref())
-                        ),
-                    }))
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        Ok(ExecutionReport { elapsed: started.elapsed(), metrics, scheduler: None })
-    }
-}
-
-/// The per-thread operator loop: drive the shared lifecycle machine with an
-/// unlimited step budget (the thread owns the operator), parking on channel
-/// events whenever the machine goes idle.
-fn run_threaded_node(mut node: ThreadedNode) -> Result<OperatorMetrics, EngineError> {
-    let mut metrics = OperatorMetrics::new(node.name.clone());
-    let mut ctx = OperatorContext::new();
-    let mut machine = NodeMachine::supervised(
-        node.ports.inputs.is_empty(),
-        node.recovery,
-        node.quarantine,
-        node.checkpoint_interval,
-    );
-    let result = loop {
-        match machine.step(
-            node.operator.as_mut(),
-            &mut node.ports,
-            &mut metrics,
-            &mut ctx,
-            usize::MAX,
-        ) {
-            Ok(StepOutcome::Done) => break Ok(()),
-            Ok(StepOutcome::Yield) => {}
-            Ok(StepOutcome::Idle) => node.ports.block_on_events(machine.waiting_on_inputs()),
-            Err(err) => break Err(err),
-        }
-    };
-    match result {
-        Ok(()) => {
-            if let Some(stats) = node.operator.feedback_stats() {
-                metrics.feedback = stats;
-            }
-            metrics.elastic = node.operator.elastic_stats();
-            Ok(metrics)
-        }
-        Err(err) => {
-            // Failure teardown: ask upstream producers to stop generating
-            // data nobody will read.  Downstream learns from the dropped
-            // endpoints (its polls report `Closed`), so the whole query
-            // unwinds promptly.
-            for input in &node.ports.inputs {
-                input.consumer.send_control(ControlMessage::Shutdown);
-            }
-            Err(match err {
-                // The lifecycle's guarded dispatch already attributed the
-                // failure — keep its text identical across executors.
-                named @ EngineError::OperatorFailed { .. } => named,
-                other => {
-                    EngineError::OperatorFailed { operator: node.name, detail: other.to_string() }
-                }
-            })
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::SourceState;
+    use crate::operator::{Operator, SourceState};
+    use crate::pooled::PooledExecutor;
     use dsms_feedback::FeedbackPunctuation;
     use dsms_punctuation::{Pattern, PatternItem, Punctuation};
     use dsms_types::{DataType, Schema, SchemaRef, Timestamp, Tuple, Value};
@@ -979,6 +632,15 @@ mod tests {
         }
     }
 
+    /// Runs `plan` on a two-worker pool (`pooled`) or the sync executor.
+    fn run_on(pooled: bool, plan: QueryPlan) -> EngineResult<ExecutionReport> {
+        if pooled {
+            PooledExecutor::run_with_workers(plan, 2)
+        } else {
+            SyncExecutor::run(plan)
+        }
+    }
+
     fn linear_plan(n: i64, feedback_after: Option<i64>) -> (QueryPlan, Arc<Mutex<Vec<Tuple>>>) {
         let mut plan = QueryPlan::new().with_page_capacity(8);
         let src = plan.add(CountingSource::new(n, 10));
@@ -1005,9 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_executor_matches_sync_results() {
+    fn pooled_executor_matches_sync_results() {
         let (plan, collected) = linear_plan(200, None);
-        let report = ThreadedExecutor::run(plan).unwrap();
+        let report = run_on(true, plan).unwrap();
         assert_eq!(collected.lock().len(), 100);
         assert_eq!(report.operator("source").unwrap().tuples_out, 200);
         assert!(report.elapsed > Duration::ZERO);
@@ -1058,7 +720,7 @@ mod tests {
 
     #[test]
     fn relayed_feedback_reaches_the_source_and_is_exploited() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(4).with_queue_capacity(4);
             let source = CountingSource::new(5_000, 50);
             let feedback_seen = source.feedback_seen.clone();
@@ -1070,11 +732,7 @@ mod tests {
             plan.connect_simple(src, relay).unwrap();
             plan.connect_simple(relay, sink).unwrap();
 
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
-            } else {
-                SyncExecutor::run(plan).unwrap()
-            };
+            let report = run_on(pooled, plan).unwrap();
             assert_eq!(report.operator("sink").unwrap().feedback_out, 1);
             assert_eq!(report.operator("relay").unwrap().feedback_in, 1);
             assert_eq!(report.operator("source").unwrap().feedback_in, 1);
@@ -1093,7 +751,7 @@ mod tests {
     /// with nothing counted as dropped, in both executors.
     #[test]
     fn flush_feedback_reaches_live_source_in_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(4).with_queue_capacity(4);
             let source = CountingSource::new(500, 50);
             let feedback_seen = source.feedback_seen.clone();
@@ -1105,21 +763,17 @@ mod tests {
             plan.connect_simple(src, relay).unwrap();
             plan.connect_simple(relay, sink).unwrap();
 
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
-            } else {
-                SyncExecutor::run(plan).unwrap()
-            };
-            assert_eq!(collected.lock().len(), 500, "threaded={threaded}");
-            assert_eq!(report.operator("sink").unwrap().feedback_out, 1, "threaded={threaded}");
-            assert_eq!(report.operator("relay").unwrap().feedback_in, 1, "threaded={threaded}");
+            let report = run_on(pooled, plan).unwrap();
+            assert_eq!(collected.lock().len(), 500, "pooled={pooled}");
+            assert_eq!(report.operator("sink").unwrap().feedback_out, 1, "pooled={pooled}");
+            assert_eq!(report.operator("relay").unwrap().feedback_in, 1, "pooled={pooled}");
             assert_eq!(
                 report.operator("source").unwrap().feedback_in,
                 1,
-                "flush-time feedback must reach the source (threaded={threaded})"
+                "flush-time feedback must reach the source (pooled={pooled})"
             );
-            assert_eq!(feedback_seen.lock().len(), 1, "threaded={threaded}");
-            assert_eq!(report.total_feedback_dropped(), 0, "threaded={threaded}");
+            assert_eq!(feedback_seen.lock().len(), 1, "pooled={pooled}");
+            assert_eq!(report.total_feedback_dropped(), 0, "pooled={pooled}");
         }
     }
 
@@ -1127,7 +781,7 @@ mod tests {
     /// feedback flowing upstream concurrently with thousands of data pages.
     /// Nothing may be lost in either direction.
     #[test]
-    fn threaded_backpressure_with_concurrent_feedback_stress() {
+    fn pooled_backpressure_with_concurrent_feedback_stress() {
         let mut plan = QueryPlan::new().with_page_capacity(1).with_queue_capacity(1);
         let source = CountingSource::new(5_000, 7);
         let feedback_seen = source.feedback_seen.clone();
@@ -1140,7 +794,7 @@ mod tests {
         plan.connect_simple(src, relay).unwrap();
         plan.connect_simple(relay, sink).unwrap();
 
-        let report = ThreadedExecutor::run(plan).unwrap();
+        let report = run_on(true, plan).unwrap();
         assert_eq!(collected.lock().len(), 5_000, "no data lost under back-pressure");
         let sent = report.operator("sink").unwrap().feedback_out;
         assert_eq!(sent, 5_000 / 250 + 1, "cadence feedback plus the flush-time message");
@@ -1174,16 +828,16 @@ mod tests {
 
     /// Regression: `max_queue_depth` used to be populated only by the pooled
     /// executor.  The lifecycle sweep now samples every executor's input
-    /// queues, so a threaded run with a single-page queue bound and a slow
+    /// queues, so a pooled run with a single-page queue bound and a slow
     /// consumer must observe a nonzero depth at the sink.
     #[test]
-    fn threaded_executor_reports_queue_depth_under_backpressure() {
+    fn pooled_executor_reports_queue_depth_under_backpressure() {
         let mut plan = QueryPlan::new().with_page_capacity(1).with_queue_capacity(1);
         let src = plan.add(CountingSource::new(300, 0));
         let sink = plan.add(SlowSink { collected: Arc::new(Mutex::new(Vec::new())) });
         plan.connect_simple(src, sink).unwrap();
 
-        let report = ThreadedExecutor::run(plan).unwrap();
+        let report = run_on(true, plan).unwrap();
         let sink = report.operator("slow").unwrap();
         assert_eq!(sink.tuples_in, 300);
         assert!(
@@ -1218,13 +872,13 @@ mod tests {
         }
     }
 
-    /// An operator failure must shut the whole threaded query down promptly:
-    /// shutdown relays upstream (the source stops producing its 100k tuples)
-    /// and the error surfaces — the test completing at all proves no thread
-    /// deadlocks in the drain protocol.
+    /// An operator failure must shut the whole query down promptly on both
+    /// executors: shutdown relays upstream (the source stops producing its
+    /// 100k tuples) and the error surfaces — the test completing at all
+    /// proves no pool worker deadlocks in the drain protocol.
     #[test]
     fn operator_failure_shuts_both_executors_down() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(2).with_queue_capacity(2);
             let src = plan.add(CountingSource::new(100_000, 0));
             let failing = plan.add(FailingFilter { after: 10, seen: 0 });
@@ -1233,14 +887,10 @@ mod tests {
             plan.connect_simple(src, failing).unwrap();
             plan.connect_simple(failing, sink).unwrap();
 
-            let err = if threaded {
-                ThreadedExecutor::run(plan).unwrap_err()
-            } else {
-                SyncExecutor::run(plan).unwrap_err()
-            };
+            let err = run_on(pooled, plan).unwrap_err();
             assert!(
                 matches!(err, EngineError::OperatorFailed { ref operator, .. } if operator == "failing"),
-                "threaded={threaded}: {err}"
+                "pooled={pooled}: {err}"
             );
         }
     }
@@ -1269,8 +919,7 @@ mod tests {
 
     /// A panicking operator must surface as `OperatorFailed` *naming the
     /// operator* and carrying the panic message — not as an anonymous
-    /// "operator thread panicked" execution failure (regression: the join
-    /// loop used to discard the panic payload and the thread's identity).
+    /// "pool worker panicked" execution failure that loses the payload.
     #[test]
     fn panicking_operator_is_named_in_the_error() {
         let mut plan = QueryPlan::new().with_page_capacity(2).with_queue_capacity(2);
@@ -1281,7 +930,7 @@ mod tests {
         plan.connect_simple(src, bad).unwrap();
         plan.connect_simple(bad, sink).unwrap();
 
-        let err = ThreadedExecutor::run(plan).unwrap_err();
+        let err = run_on(true, plan).unwrap_err();
         match err {
             EngineError::OperatorFailed { operator, detail } => {
                 assert_eq!(operator, "panicky");
@@ -1328,21 +977,17 @@ mod tests {
 
     #[test]
     fn undeliverable_feedback_is_counted_in_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(4);
             let src = plan.add(CountingSource::new(20, 0));
             let sink = plan.add(MisroutedFeedbackSink { sent: false });
             plan.connect_simple(src, sink).unwrap();
 
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
-            } else {
-                SyncExecutor::run(plan).unwrap()
-            };
+            let report = run_on(pooled, plan).unwrap();
             let sink = report.operator("misrouted").unwrap();
-            assert_eq!(sink.feedback_dropped, 1, "threaded={threaded}");
-            assert_eq!(sink.feedback_out, 0, "threaded={threaded}");
-            assert_eq!(report.total_feedback_dropped(), 1, "threaded={threaded}");
+            assert_eq!(sink.feedback_dropped, 1, "pooled={pooled}");
+            assert_eq!(sink.feedback_out, 0, "pooled={pooled}");
+            assert_eq!(report.total_feedback_dropped(), 1, "pooled={pooled}");
         }
     }
 
@@ -1393,7 +1038,7 @@ mod tests {
     /// upstream reaches the source — on both executors, with nothing dropped.
     #[test]
     fn broadcasts_reach_every_connected_endpoint() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(4).with_queue_capacity(4);
             let source = CountingSource::new(100, 10);
             let feedback_seen = source.feedback_seen.clone();
@@ -1409,29 +1054,25 @@ mod tests {
             plan.connect(router, 0, sink_a, 0).unwrap();
             plan.connect(router, 1, sink_b, 0).unwrap();
 
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
-            } else {
-                SyncExecutor::run(plan).unwrap()
-            };
+            let report = run_on(pooled, plan).unwrap();
             assert_eq!(
                 collected_a.lock().len() + collected_b.lock().len(),
                 100,
-                "data is routed, not duplicated (threaded={threaded})"
+                "data is routed, not duplicated (pooled={pooled})"
             );
             assert_eq!(
                 report.operator("router").unwrap().punctuations_out,
                 2 * report.operator("router").unwrap().punctuations_in,
-                "punctuation is broadcast to both outputs (threaded={threaded})"
+                "punctuation is broadcast to both outputs (pooled={pooled})"
             );
-            assert!(!punct_b.lock().is_empty(), "threaded={threaded}");
+            assert!(!punct_b.lock().is_empty(), "pooled={pooled}");
             assert_eq!(
                 feedback_seen.lock().len(),
                 1,
                 "flush-time feedback, broadcast upstream, reaches the source \
-                 (threaded={threaded})"
+                 (pooled={pooled})"
             );
-            assert_eq!(report.total_feedback_dropped(), 0, "threaded={threaded}");
+            assert_eq!(report.total_feedback_dropped(), 0, "pooled={pooled}");
         }
     }
 
@@ -1443,7 +1084,70 @@ mod tests {
 
         let mut plan = QueryPlan::new();
         plan.add(EvenFilter);
-        assert!(matches!(ThreadedExecutor::run(plan), Err(EngineError::InvalidPlan { .. })));
+        assert!(matches!(run_on(true, plan), Err(EngineError::InvalidPlan { .. })));
+    }
+
+    /// Pass-through that pauses its input after the first tuple and resumes
+    /// when feedback arrives, recording how many tuples it had seen then.
+    struct HoldingGate {
+        seen: u64,
+        seen_at_resume: Arc<Mutex<Option<u64>>>,
+    }
+
+    impl Operator for HoldingGate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+        fn inputs(&self) -> usize {
+            1
+        }
+        fn on_tuple(&mut self, _i: usize, t: Tuple, ctx: &mut OperatorContext) -> EngineResult<()> {
+            self.seen += 1;
+            if self.seen == 1 {
+                ctx.hold_input(true);
+            }
+            ctx.emit(0, t);
+            Ok(())
+        }
+        fn on_feedback(
+            &mut self,
+            _output: usize,
+            _feedback: FeedbackPunctuation,
+            ctx: &mut OperatorContext,
+        ) -> EngineResult<()> {
+            self.seen_at_resume.lock().get_or_insert(self.seen);
+            ctx.hold_input(false);
+            Ok(())
+        }
+    }
+
+    /// A held input stays queued upstream while control keeps flowing: the
+    /// gate consumes nothing more during the feedback's three relay hops,
+    /// then resumes and the whole stream arrives.
+    #[test]
+    fn held_input_waits_for_control_on_both_executors() {
+        for pooled in [false, true] {
+            let mut plan = QueryPlan::new().with_page_capacity(1).with_queue_capacity(1);
+            let src = plan.add(CountingSource::new(50, 0));
+            let seen_at_resume = Arc::new(Mutex::new(None));
+            let gate = plan.add(HoldingGate { seen: 0, seen_at_resume: seen_at_resume.clone() });
+            let mut upstream = gate;
+            for _ in 0..3 {
+                let relay = plan.add(RelayingFilter);
+                plan.connect_simple(upstream, relay).unwrap();
+                upstream = relay;
+            }
+            let (mut sink, collected) = CollectingSink::new();
+            sink.feedback_after = Some(0);
+            let sink = plan.add(sink);
+            plan.connect_simple(src, gate).unwrap();
+            plan.connect_simple(upstream, sink).unwrap();
+
+            let report = run_on(pooled, plan).unwrap();
+            assert_eq!(*seen_at_resume.lock(), Some(1), "pooled={pooled}");
+            assert_eq!(collected.lock().len(), 50, "pooled={pooled}");
+            assert_eq!(report.total_feedback_dropped(), 0, "pooled={pooled}");
+        }
     }
 
     #[test]

@@ -17,18 +17,16 @@
 //! * a [`plan::QueryPlan`] IR describing the operator graph, plus the fluent
 //!   schema-checked [`builder::StreamBuilder`] / [`builder::Stream`] layer
 //!   that lowers into it (with first-class feedback subscriptions); and
-//! * three executors sharing one operator lifecycle (the `lifecycle`
-//!   module's active → flush → drain → release machine):
-//!   [`executor::ThreadedExecutor`] runs one OS thread per operator
-//!   (NiagaraST's model) event-driven — idle threads block on a
-//!   multi-receiver channel wait, and a sink→source drain protocol delivers
-//!   even flush-time feedback before threads exit;
-//!   [`pooled::PooledExecutor`] runs the whole plan on a fixed worker pool
-//!   with per-worker run queues and work stealing, scheduling operators as
-//!   tasks woken by queue readiness events, so plans far wider than the
-//!   machine still run without a thread per operator; and
-//!   [`executor::SyncExecutor`] runs the same plans deterministically on a
-//!   single thread for reproducible tests.
+//! * two executors sharing one operator lifecycle (the `lifecycle` module's
+//!   active → flush → drain → release machine, whose sink→source drain
+//!   protocol delivers even flush-time feedback before an operator
+//!   finishes): [`pooled::PooledExecutor`] runs the whole plan on a fixed
+//!   worker pool with per-worker run queues and work stealing, scheduling
+//!   operators as tasks woken by queue readiness events, so plans far wider
+//!   than the machine still run without a thread per operator — and, sized
+//!   to one worker per node, NiagaraST's thread-per-operator overlap of
+//!   blocking operators; and [`executor::SyncExecutor`] runs the same plans
+//!   deterministically on a single thread for reproducible tests.
 //!
 //! The engine knows nothing about specific operators; those live in
 //! `dsms-operators`.
@@ -51,7 +49,7 @@ pub mod queue;
 pub use builder::{Stream, StreamBuilder};
 pub use control::ControlMessage;
 pub use error::{EngineError, EngineResult};
-pub use executor::{ExecutionReport, SyncExecutor, ThreadedExecutor};
+pub use executor::{ExecutionReport, SyncExecutor};
 pub use metrics::{ElasticStats, OperatorMetrics, RecoverySummary, SchedulerSummary};
 pub use operator::{Emission, Operator, OperatorContext, SourceState, StateEntry, StreamItem};
 pub use page::{ColumnarPage, Page, PageBuilder, PageIter};

@@ -1,6 +1,6 @@
 //! The executor-agnostic operator lifecycle.
 //!
-//! All three executors (sync, threaded, pooled) drive every operator through
+//! Both executors (sync and pooled) drive every operator through
 //! the same **active → flush → drain → release** protocol, and the loss-free
 //! feedback guarantee hangs on its details — so the protocol is implemented
 //! exactly once, here, as a per-operator state machine ([`NodeMachine`]) over
@@ -10,10 +10,9 @@
 //!   data work: a source poll, or one sweep over the open inputs consuming at
 //!   most one page each.  A bounded `budget` of data units per
 //!   [`NodeMachine::step`] call lets the callers shape scheduling: the sync
-//!   executor steps with budget 1 (deterministic round-robin), the threaded
-//!   executor with an unlimited budget (the thread owns the operator), the
-//!   pooled executor with a medium budget (cooperative time-slicing across a
-//!   worker pool).
+//!   executor steps with budget 1 (deterministic round-robin), the pooled
+//!   executor with a medium budget (cooperative time-slicing across a worker
+//!   pool).
 //! * **flush** — when every input has closed (or the source is exhausted, or
 //!   shutdown arrived): `on_flush`, remaining partial pages, then data
 //!   end-of-stream to every consumer.  Flushing is a transition, not a
@@ -28,15 +27,14 @@
 //! progress or ran out of budget; step again when convenient), `Idle` (no
 //! progress possible until an external event: data, credit, or control), and
 //! `Done` (released).  What "wait for an external event" means is the
-//! executor's business — the threaded executor parks the thread, the pooled
-//! executor parks the *task* and relies on queue notifications, the sync
-//! executor uses `Idle` for stall detection.
+//! executor's business — the pooled executor parks the *task* and relies on
+//! queue notifications, the sync executor uses `Idle` for stall detection.
 //!
 //! # Supervised recovery
 //!
 //! Because the lifecycle is implemented once, fault tolerance is too.  Every
 //! operator callback is dispatched through [`guarded`], which catches both
-//! `Err` returns and panics and names them after the operator — so all three
+//! `Err` returns and panics and names them after the operator — so both
 //! executors report the identical `OperatorFailed` text.  An operator whose
 //! plan declares [`RecoveryPolicy::Restart`] additionally runs under a
 //! [`RecoveryState`]: checkpoints of [`crate::Operator::checkpoint`] are
@@ -103,10 +101,9 @@ fn name_failure(operator: &str, err: EngineError) -> EngineError {
 ///
 /// Implementations view a node's *connected* connections as dense slot
 /// arrays: input slots `0..in_count()` and output slots `0..out_count()`,
-/// each mapped to the operator-declared port it serves.  The three executors
+/// each mapped to the operator-declared port it serves.  The two executors
 /// provide adapters over their native endpoints (sync: shared edge state;
-/// threaded: blocking channel endpoints; pooled: notification-driven
-/// queues).
+/// pooled: notification-driven queues).
 pub(crate) trait LifecyclePorts {
     /// Number of connected input slots.
     fn in_count(&self) -> usize;
@@ -337,7 +334,7 @@ impl RecoveryState {
     }
 }
 
-/// Per-operator lifecycle state machine, shared by all three executors.
+/// Per-operator lifecycle state machine, shared by both executors.
 #[derive(Debug)]
 pub(crate) struct NodeMachine {
     phase: Phase,
@@ -371,13 +368,6 @@ impl NodeMachine {
     /// True once the operator has released.
     pub(crate) fn is_done(&self) -> bool {
         self.phase == Phase::Released
-    }
-
-    /// True while the machine still consumes data — the caller's idle wait
-    /// should include the input queues.  During the drain phase only the
-    /// downstream control channels matter.
-    pub(crate) fn waiting_on_inputs(&self) -> bool {
-        self.phase == Phase::Active
     }
 
     /// Advances the operator: control first (with priority), then up to
@@ -476,6 +466,12 @@ impl NodeMachine {
                                 continue;
                             }
                         }
+                    }
+
+                    // The operator paused its input (and resumes from a
+                    // control callback, which wakes the node).
+                    if ctx.input_held() {
+                        return Ok(if acted { StepOutcome::Yield } else { StepOutcome::Idle });
                     }
 
                     // Non-source: sweep the open inputs, consuming at most

@@ -30,21 +30,21 @@ pub struct OperatorMetrics {
     /// feedback to upstream operators even after those operators have
     /// flushed; this counter records the residue that is *genuinely*
     /// undeliverable — feedback named on an input port with no connected
-    /// edge, or (threaded executor only) sent on a connection whose upstream
-    /// thread already exited after a failure.  A healthy run reports 0.
+    /// edge, or (pooled executor only) sent on a connection whose upstream
+    /// operator already closed it after a failure.  A healthy run reports 0.
     pub feedback_dropped: u64,
     /// Time spent inside operator callbacks.
     pub busy: Duration,
     /// Scheduler steps executed for this operator (pooled executor): each
     /// step runs the operator's lifecycle machine until it yields its budget,
-    /// goes idle, or finishes.  Sync/threaded runs leave this 0.
+    /// goes idle, or finishes.  Sync runs leave this 0.
     pub sched_steps: u64,
     /// Steps executed on a worker other than the operator's home worker
-    /// (pooled executor work stealing).  Sync/threaded runs leave this 0.
+    /// (pooled executor work stealing).  Sync runs leave this 0.
     pub sched_steals: u64,
     /// Largest number of pages observed waiting on any of this operator's
     /// input queues, sampled by the executor's lifecycle sweep just before
-    /// each input poll.  Populated by all three executors; sources (no
+    /// each input poll.  Populated by both executors; sources (no
     /// inputs) report 0.
     pub max_queue_depth: u64,
     /// Supervised restarts performed for this operator: each one restored
@@ -75,9 +75,13 @@ pub struct OperatorMetrics {
 pub struct ElasticStats {
     /// Resizes committed (routing actually switched width).
     pub resizes: u64,
-    /// Resizes cancelled because the stream ended mid-handshake (the commit
-    /// marker re-installed the old width).
+    /// Resizes cancelled because the stream ended first: mid-handshake (the
+    /// commit marker re-installed the old width), while queued behind
+    /// another handshake, or arriving after end-of-stream.
     pub cancelled: u64,
+    /// Queued resize requests overwritten by a newer one before they could
+    /// open (the latest target wins).
+    pub superseded: u64,
     /// Keyed state units that changed replica across all committed resizes.
     pub migrated_groups: u64,
     /// Committed `(epoch, partitions)` pairs, in commit order — the stage's

@@ -5,8 +5,8 @@
 //! end-of-stream notifications; the operator responds by emitting items and
 //! feedback into an [`OperatorContext`], which the executor then routes.
 //! Keeping the context as a plain buffer (rather than handing operators raw
-//! channel endpoints) lets the same operator code run unchanged under the
-//! threaded executor and the deterministic single-threaded executor.
+//! queue endpoints) lets the same operator code run unchanged under the
+//! worker-pool executor and the deterministic single-threaded executor.
 
 use crate::error::EngineResult;
 use crate::page::Page;
@@ -100,6 +100,7 @@ pub struct OperatorContext {
     broadcast_punctuations: Vec<Punctuation>,
     broadcast_feedback: Vec<FeedbackPunctuation>,
     queue_depth: u64,
+    input_held: bool,
 }
 
 impl OperatorContext {
@@ -120,6 +121,21 @@ impl OperatorContext {
     /// by the executors' lifecycle sweep).
     pub fn set_queue_depth(&mut self, depth: u64) {
         self.queue_depth = depth;
+    }
+
+    /// Pauses (`true`) or resumes (`false`) delivery of input pages to this
+    /// operator.  While paused the executor keeps delivering control —
+    /// feedback, result requests, shutdown — so the operator can resume from
+    /// a control callback; input stays queued upstream under the normal
+    /// back-pressure bound.  An elastic shuffle pauses between a resize cut
+    /// and its commit instead of buffering the rest of its input.
+    pub fn hold_input(&mut self, held: bool) {
+        self.input_held = held;
+    }
+
+    /// Whether input delivery is paused (see [`OperatorContext::hold_input`]).
+    pub fn input_held(&self) -> bool {
+        self.input_held
     }
 
     /// Emits a tuple on the given output port.
@@ -270,7 +286,7 @@ impl OperatorContext {
 /// All callbacks receive the input (or output) port index so that multi-input
 /// operators (joins, unions) and multi-output operators (duplicate, split) can
 /// tell their connections apart.  Implementations must be `Send` so the
-/// threaded executor can move them onto their own thread.
+/// pooled executor can step them on any of its worker threads.
 pub trait Operator: Send {
     /// The operator's display name (used in metrics and errors).
     fn name(&self) -> &str;

@@ -179,7 +179,7 @@ impl QueryPlan {
         self
     }
 
-    /// Sets the pages-in-flight bound used on every connection (threaded
+    /// Sets the pages-in-flight bound used on every connection (pooled
     /// executor back-pressure).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
@@ -197,8 +197,7 @@ impl QueryPlan {
     }
 
     /// Sets the number of worker threads the pooled executor should run this
-    /// plan with.  Clamped to at least 1; the sync and threaded executors
-    /// ignore it.  When unset, [`crate::pooled::PooledExecutor`] defaults to
+    /// plan with.  Clamped to at least 1; the sync executor ignores it.  When unset, [`crate::pooled::PooledExecutor`] defaults to
     /// the machine's available parallelism.
     pub fn with_worker_pool(mut self, workers: usize) -> Self {
         self.pool_size = Some(workers.max(1));

@@ -1,37 +1,28 @@
 //! Inter-operator queues.
 //!
-//! A connection between two operators consists of a bounded *data queue* of
-//! pages flowing downstream and an unbounded *control queue* flowing upstream
-//! (feedback punctuation, result requests).  The bounded data queue provides
-//! back-pressure: a fast producer blocks once the consumer falls behind by
-//! `capacity` pages, which is how NiagaraST-style pipelined engines keep
-//! memory bounded.  Control messages are never blocked — they are small,
-//! high-priority and must overtake data (paper Section 5).
+//! A connection between two operators consists of a soft-bounded *data
+//! queue* of pages flowing downstream and an unbounded *control queue*
+//! flowing upstream (feedback punctuation, result requests).  The data bound
+//! provides back-pressure: once the consumer falls behind by `capacity`
+//! pages the producer loses *credit* — [`PooledProducer::has_credit`] — and
+//! the scheduler stops stepping it until the consumer drains back below the
+//! bound, which is how NiagaraST-style pipelined engines keep memory
+//! bounded.  Sends never block and never fail on a full queue: a producer
+//! may push past the capacity within a single operator callback.  Control
+//! messages are never held back — they are small, high-priority and must
+//! overtake data (paper Section 5).
 //!
-//! Both endpoints implement `crossbeam_channel::SelectHandle`, so an
-//! operator thread can park in a single condvar-based wait ([`wait_any`])
-//! spanning all of its input data queues and downstream control channels —
-//! the event-driven alternative to sleep-polling.  The `poll_*` methods
-//! distinguish "nothing queued yet" from "peer endpoint gone", which the
-//! executor's drain protocol relies on for prompt, loss-free teardown.
-//!
-//! The pooled executor uses a second connection flavour
-//! ([`DataQueue::pooled_connection`]) whose readiness surface is
-//! *notification*-based rather than *blocking*-based: instead of parking the
-//! calling thread, each endpoint event (data available, downstream credit,
-//! control pending) fires a persistent [`ReadyNotify`] hook registered per
-//! task, which the scheduler uses to move the affected task back onto a run
-//! queue.  Its data queue is **soft-bounded**: a producer may push past the
-//! capacity within a single operator callback (sends never fail on a full
-//! queue), but loses *credit* — [`PooledProducer::has_credit`] — until the
-//! consumer drains back below the bound, and the scheduler stops stepping
-//! the producer until credit returns.
+//! Readiness is *notification*-based: each endpoint event (data available,
+//! downstream credit, control pending) fires a persistent [`ReadyNotify`]
+//! hook registered per task, which the pooled executor uses to move the
+//! affected task back onto a run queue.  The `poll_*` methods distinguish
+//! "nothing queued yet" from "peer endpoint gone", which the executor's
+//! drain protocol relies on for prompt, loss-free teardown.  (The sync
+//! executor runs every operator on one thread over plain per-edge queues and
+//! needs neither.)
 
 use crate::control::ControlMessage;
 use crate::page::Page;
-use crossbeam_channel::{
-    bounded, unbounded, Receiver, Select, SelectHandle, Sender, TryRecvError, TrySendError, Waker,
-};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,8 +44,8 @@ pub enum DataPoll {
     Message(QueueMessage),
     /// Nothing queued right now; the producer is still attached.
     Empty,
-    /// The queue is empty and the producer endpoint has been dropped (the
-    /// upstream thread exited).  Equivalent to end-of-stream.
+    /// The queue is empty and the producer endpoint has closed (the upstream
+    /// operator failed).  Equivalent to end-of-stream.
     Closed,
 }
 
@@ -65,29 +56,13 @@ pub enum ControlPoll {
     Message(ControlMessage),
     /// Nothing queued right now; the consumer is still attached.
     Empty,
-    /// The channel is empty and the consumer endpoint has been dropped (the
-    /// downstream thread exited).  No further control can arrive.
+    /// The channel is empty and the consumer endpoint has closed (the
+    /// downstream operator failed).  No further control can arrive.
     Closed,
 }
 
-/// Producer endpoint of a connection: sends pages downstream, receives control
-/// messages from the consumer.
-#[derive(Debug, Clone)]
-pub struct ProducerEnd {
-    data: Sender<QueueMessage>,
-    control: Receiver<ControlMessage>,
-}
-
-/// Consumer endpoint of a connection: receives pages, sends control messages
-/// (feedback) upstream.
-#[derive(Debug, Clone)]
-pub struct ConsumerEnd {
-    data: Receiver<QueueMessage>,
-    control: Sender<ControlMessage>,
-}
-
-/// A paged, bounded inter-operator queue with an unbounded upstream control
-/// channel.
+/// A paged, soft-bounded inter-operator queue with an unbounded upstream
+/// control channel.
 #[derive(Debug)]
 pub struct DataQueue;
 
@@ -95,21 +70,10 @@ impl DataQueue {
     /// Default bound on in-flight pages per connection.
     pub const DEFAULT_CAPACITY: usize = 64;
 
-    /// Creates a connection with the given page capacity, returning the
-    /// producer and consumer endpoints.
-    pub fn connection(capacity: usize) -> (ProducerEnd, ConsumerEnd) {
-        let (data_tx, data_rx) = bounded(capacity.max(1));
-        let (ctrl_tx, ctrl_rx) = unbounded();
-        (
-            ProducerEnd { data: data_tx, control: ctrl_rx },
-            ConsumerEnd { data: data_rx, control: ctrl_tx },
-        )
-    }
-
-    /// Creates a non-blocking, notification-driven connection for the pooled
-    /// executor (see the module docs): soft-bounded data queue with credit
-    /// tracking, unbounded control queue, and per-event [`ReadyNotify`]
-    /// hooks.
+    /// Creates a non-blocking, notification-driven connection with the given
+    /// page capacity (see the module docs): soft-bounded data queue with
+    /// credit tracking, unbounded control queue, and per-event
+    /// [`ReadyNotify`] hooks.  Returns the producer and consumer endpoints.
     pub fn pooled_connection(capacity: usize) -> (PooledProducer, PooledConsumer) {
         let shared = Arc::new(PooledShared {
             capacity: capacity.max(1),
@@ -126,10 +90,6 @@ impl DataQueue {
         (PooledProducer { shared: shared.clone() }, PooledConsumer { shared })
     }
 }
-
-// ---------------------------------------------------------------------------
-// Pooled (notification-driven) connection
-// ---------------------------------------------------------------------------
 
 /// A persistent readiness hook: the scheduler registers one per connection
 /// event, and the endpoint fires it (from whichever thread performed the
@@ -376,122 +336,6 @@ impl PooledConsumer {
     }
 }
 
-impl ProducerEnd {
-    /// Sends a page downstream, blocking when the queue is full
-    /// (back-pressure).  Returns `false` when the consumer has hung up.
-    pub fn send_page(&self, page: Page) -> bool {
-        self.data.send(QueueMessage::Page(page)).is_ok()
-    }
-
-    /// Attempts to send a page without blocking.  Returns the page back when
-    /// the queue is full.
-    pub fn try_send_page(&self, page: Page) -> Result<(), Page> {
-        match self.data.try_send(QueueMessage::Page(page)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(QueueMessage::Page(p)))
-            | Err(TrySendError::Disconnected(QueueMessage::Page(p))) => Err(p),
-            Err(_) => unreachable!("only pages are try-sent"),
-        }
-    }
-
-    /// Signals end-of-stream to the consumer.
-    pub fn send_end_of_stream(&self) {
-        let _ = self.data.send(QueueMessage::EndOfStream);
-    }
-
-    /// Non-blocking receive of one control message the consumer sent
-    /// upstream, distinguishing "nothing yet" from "consumer gone".
-    pub fn poll_control(&self) -> ControlPoll {
-        match self.control.try_recv() {
-            Ok(message) => ControlPoll::Message(message),
-            Err(TryRecvError::Empty) => ControlPoll::Empty,
-            Err(TryRecvError::Disconnected) => ControlPoll::Closed,
-        }
-    }
-
-    /// Drains any control messages (feedback) the consumer has sent upstream.
-    pub fn drain_control(&self) -> Vec<ControlMessage> {
-        let mut msgs = Vec::new();
-        while let Ok(m) = self.control.try_recv() {
-            msgs.push(m);
-        }
-        msgs
-    }
-}
-
-impl SelectHandle for ProducerEnd {
-    fn is_ready(&self) -> bool {
-        self.control.is_ready()
-    }
-
-    fn register(&self, waker: &Waker) {
-        self.control.register(waker);
-    }
-}
-
-impl ConsumerEnd {
-    /// Attempts to receive the next data message without blocking.
-    pub fn try_recv(&self) -> Option<QueueMessage> {
-        self.data.try_recv().ok()
-    }
-
-    /// Non-blocking receive of one data message, distinguishing "nothing
-    /// yet" from "producer gone" (which a consumer treats as end-of-stream).
-    pub fn poll_data(&self) -> DataPoll {
-        match self.data.try_recv() {
-            Ok(message) => DataPoll::Message(message),
-            Err(TryRecvError::Empty) => DataPoll::Empty,
-            Err(TryRecvError::Disconnected) => DataPoll::Closed,
-        }
-    }
-
-    /// Receives the next data message, blocking until one arrives or the
-    /// producer hangs up.
-    pub fn recv(&self) -> Option<QueueMessage> {
-        self.data.recv().ok()
-    }
-
-    /// Sends a control message (feedback punctuation, result request)
-    /// upstream.  Never blocks.  Returns `false` when the producer endpoint
-    /// is gone (its thread exited), i.e. the message is undeliverable.
-    pub fn send_control(&self, message: ControlMessage) -> bool {
-        self.control.send(message).is_ok()
-    }
-
-    /// Number of pages currently buffered (approximate).
-    pub fn pending(&self) -> usize {
-        self.data.len()
-    }
-}
-
-impl SelectHandle for ConsumerEnd {
-    fn is_ready(&self) -> bool {
-        self.data.is_ready()
-    }
-
-    fn register(&self, waker: &Waker) {
-        self.data.register(waker);
-    }
-}
-
-/// Blocks until any of the given endpoints is ready: a data message on some
-/// consumer endpoint, or a control message (or hang-up) on some producer
-/// endpoint.  This is the threaded executor's idle wait — operator threads
-/// park here instead of sleep-polling.  No-ops when both slices are empty.
-pub fn wait_any(inputs: &[&ConsumerEnd], outputs: &[&ProducerEnd]) {
-    let mut select = Select::new();
-    for input in inputs {
-        select.watch(*input);
-    }
-    for output in outputs {
-        select.watch(*output);
-    }
-    if inputs.is_empty() && outputs.is_empty() {
-        return;
-    }
-    select.ready();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,65 +350,25 @@ mod tests {
     }
 
     #[test]
-    fn pages_flow_downstream_in_order() {
-        let (producer, consumer) = DataQueue::connection(4);
+    fn pages_flow_downstream_and_control_upstream_in_order() {
+        let (producer, consumer) = DataQueue::pooled_connection(4);
         assert!(producer.send_page(page()));
         producer.send_end_of_stream();
-        assert!(matches!(consumer.recv(), Some(QueueMessage::Page(_))));
-        assert!(matches!(consumer.recv(), Some(QueueMessage::EndOfStream)));
-    }
+        assert!(matches!(consumer.poll_data(), DataPoll::Message(QueueMessage::Page(_))));
+        assert!(matches!(consumer.poll_data(), DataPoll::Message(QueueMessage::EndOfStream)));
+        assert!(matches!(consumer.poll_data(), DataPoll::Empty), "producer still attached");
 
-    #[test]
-    fn control_messages_flow_upstream() {
-        let (producer, consumer) = DataQueue::connection(4);
         let schema = Schema::shared(&[("v", DataType::Int)]);
-        consumer.send_control(ControlMessage::Feedback(FeedbackPunctuation::assumed(
+        assert!(consumer.send_control(ControlMessage::Feedback(FeedbackPunctuation::assumed(
             Pattern::all_wildcards(schema),
             "consumer",
-        )));
-        consumer.send_control(ControlMessage::RequestResults);
-        let drained = producer.drain_control();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].kind(), "feedback");
-        assert_eq!(drained[1].kind(), "request-results");
-        assert!(producer.drain_control().is_empty());
-    }
-
-    #[test]
-    fn try_send_reports_full_queue() {
-        let (producer, consumer) = DataQueue::connection(1);
-        assert!(producer.try_send_page(page()).is_ok());
-        assert!(producer.try_send_page(page()).is_err(), "capacity 1 queue is full");
-        assert_eq!(consumer.pending(), 1);
-        assert!(consumer.try_recv().is_some());
-        assert!(consumer.try_recv().is_none());
-    }
-
-    #[test]
-    fn hung_up_consumer_is_reported() {
-        let (producer, consumer) = DataQueue::connection(1);
-        drop(consumer);
-        assert!(!producer.send_page(page()));
-    }
-
-    #[test]
-    fn polls_distinguish_empty_from_closed() {
-        let (producer, consumer) = DataQueue::connection(2);
-        assert!(matches!(consumer.poll_data(), DataPoll::Empty));
-        assert!(matches!(producer.poll_control(), ControlPoll::Empty));
-        producer.send_page(page());
+        ))));
         assert!(consumer.send_control(ControlMessage::RequestResults));
-        assert!(matches!(consumer.poll_data(), DataPoll::Message(QueueMessage::Page(_))));
-        assert!(matches!(
-            producer.poll_control(),
-            ControlPoll::Message(ControlMessage::RequestResults)
-        ));
-        drop(producer);
-        assert!(matches!(consumer.poll_data(), DataPoll::Closed));
-        assert!(!consumer.send_control(ControlMessage::EndOfStream), "producer gone");
-        let (producer, consumer) = DataQueue::connection(2);
-        drop(consumer);
-        assert!(matches!(producer.poll_control(), ControlPoll::Closed));
+        let mut kinds = Vec::new();
+        while let ControlPoll::Message(message) = producer.poll_control() {
+            kinds.push(message.kind());
+        }
+        assert_eq!(kinds, ["feedback", "request-results"]);
     }
 
     #[test]
@@ -633,35 +437,5 @@ mod tests {
             ControlPoll::Message(ControlMessage::RequestResults)
         ));
         assert!(matches!(producer.poll_control(), ControlPoll::Closed));
-    }
-
-    #[test]
-    fn wait_any_wakes_on_data_and_on_control() {
-        let (producer, consumer) = DataQueue::connection(2);
-        let sender = {
-            let producer = producer.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                producer.send_page(page());
-            })
-        };
-        wait_any(&[&consumer], &[]);
-        assert!(matches!(consumer.poll_data(), DataPoll::Message(_)));
-        sender.join().unwrap();
-
-        let replier = {
-            let consumer = consumer.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                consumer.send_control(ControlMessage::EndOfStream);
-            })
-        };
-        wait_any(&[], &[&producer]);
-        assert!(matches!(
-            producer.poll_control(),
-            ControlPoll::Message(ControlMessage::EndOfStream)
-        ));
-        replier.join().unwrap();
-        wait_any(&[], &[] /* no endpoints: returns immediately */);
     }
 }

@@ -5,7 +5,7 @@ use crate::source_ref::SourceRef;
 use dsms_engine::{Edge, NodeId};
 use dsms_engine::{
     EngineError, EngineResult, ExecutionReport, Operator, PlanNode, PooledExecutor, QueryPlan,
-    SyncExecutor, ThreadedExecutor,
+    SyncExecutor,
 };
 use dsms_feedback::FeedbackStats;
 use dsms_operators::{FanoutController, FanoutDirective, SharedFanout};
@@ -24,8 +24,6 @@ fn invalid(detail: impl Into<String>) -> EngineError {
 pub enum ExecutorKind {
     /// Deterministic single-threaded round-robin ([`SyncExecutor`]).
     Sync,
-    /// One OS thread per operator ([`ThreadedExecutor`]).
-    Threaded,
     /// Work-stealing worker pool ([`PooledExecutor`]).
     Pooled,
 }
@@ -694,7 +692,6 @@ impl PipelineManager {
             .name("dsms-manager".into())
             .spawn(move || match kind {
                 ExecutorKind::Sync => SyncExecutor::run(master),
-                ExecutorKind::Threaded => ThreadedExecutor::run(master),
                 ExecutorKind::Pooled => PooledExecutor::run(master),
             })
             .map_err(|e| EngineError::ExecutionFailed {

@@ -17,25 +17,24 @@
 //!    subset description.
 //! 2. **Migrate** — the shuffle emits a [`StageDirective::Migrate`] marker
 //!    punctuation to *every* replica (a consistent cut: each replica sees it
-//!    after all earlier tuples and before all later ones) and starts
-//!    buffering its input.  Each [`ElasticReplica`] exports its keyed state
+//!    after all earlier tuples and before all later ones) and holds its
+//!    input.  Each [`ElasticReplica`] exports its keyed state
 //!    into the controller's migration pool, acknowledges upstream with
 //!    [`StageDirective::Ack`], and forwards the marker downstream.
 //! 3. **Commit** — once every replica has acknowledged, the shuffle switches
 //!    its routing width, emits a [`StageDirective::Commit`] marker, and
-//!    replays the buffered input under the new routing.  Each replica
+//!    resumes its input under the new routing.  Each replica
 //!    reclaims from the pool exactly the keys that now hash to it; the merge
 //!    counts the commit markers and switches its watermark membership.
-//! 4. **Cancel** — if the stream ends mid-handshake the shuffle commits the
-//!    *old* width instead: every key reclaims its own exporter's state, the
-//!    replay uses the old routing, and the run is byte-identical to one with
-//!    no resize at all.
+//! 4. **Cancel** — if the shuffle is shut down mid-handshake it commits the
+//!    *old* width instead: every key reclaims its own exporter's state and
+//!    the run is byte-identical to one with no resize at all.
 //!
 //! Because the cut is aligned with the stream (markers are ordinary
 //! punctuations in the data channel) and state moves whole groups at the
 //! cut, a resized run produces exactly the multiset of tuples a
 //! fixed-partition run produces — the property `tests/elastic_parity.rs`
-//! pins across all three executors.
+//! pins on both executors.
 
 use dsms_engine::{ElasticStats, EngineResult, Operator, OperatorContext, SourceState, StateEntry};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles};
@@ -141,6 +140,11 @@ impl ElasticController {
     /// Records a resize cancelled by end-of-stream.
     pub fn record_cancel(&self) {
         self.stats.lock().cancelled += 1;
+    }
+
+    /// Records a queued resize request overwritten by a newer one.
+    pub fn record_superseded(&self) {
+        self.stats.lock().superseded += 1;
     }
 
     /// A snapshot of the stage's statistics.

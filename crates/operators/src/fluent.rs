@@ -320,7 +320,7 @@ impl StreamOps for Stream {
 mod tests {
     use super::*;
     use crate::source::VecSource;
-    use dsms_engine::{StreamBuilder, SyncExecutor, ThreadedExecutor};
+    use dsms_engine::{PooledExecutor, StreamBuilder, SyncExecutor};
     use dsms_types::{DataType, Schema, SchemaRef, Timestamp, Tuple, Value};
 
     fn schema() -> SchemaRef {
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn select_project_aggregate_chain_runs_on_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let builder = StreamBuilder::new().with_page_capacity(8).with_queue_capacity(4);
             let results = builder
                 .source(
@@ -368,12 +368,12 @@ mod tests {
                 .sink_collect("out")
                 .unwrap();
             let plan = builder.build().unwrap();
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
             } else {
                 SyncExecutor::run(plan).unwrap()
             };
-            assert_eq!(results.lock().len(), 25, "5 windows × 5 segments, threaded={threaded}");
+            assert_eq!(results.lock().len(), 25, "5 windows × 5 segments, pooled={pooled}");
             assert_eq!(report.operator("AVG").unwrap().tuples_in, 300);
         }
     }

@@ -228,7 +228,7 @@ mod tests {
     use super::*;
     use crate::sink::CollectSink;
     use crate::source::VecSource;
-    use dsms_engine::{SyncExecutor, ThreadedExecutor};
+    use dsms_engine::{PooledExecutor, SyncExecutor};
     use dsms_types::{DataType, Schema, Timestamp, Tuple, Value};
 
     fn schema() -> SchemaRef {
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn partitioned_stage_wires_and_runs_on_both_executors() {
-        for threaded in [false, true] {
+        for pooled in [false, true] {
             let mut plan = QueryPlan::new().with_page_capacity(4).with_queue_capacity(4);
             let source = plan.add(VecSource::new("source", tuples(200)));
             let recorders: Vec<_> =
@@ -293,12 +293,12 @@ mod tests {
             plan.connect_simple(stage.output(), sink).unwrap();
             plan.validate().unwrap();
 
-            let report = if threaded {
-                ThreadedExecutor::run(plan).unwrap()
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
             } else {
                 SyncExecutor::run(plan).unwrap()
             };
-            assert_eq!(results.lock().len(), 200, "threaded={threaded}");
+            assert_eq!(results.lock().len(), 200, "pooled={pooled}");
             assert_eq!(report.total_feedback_dropped(), 0);
             // Key-consistency: each segment value is seen by exactly one replica.
             for seg in 0..13 {

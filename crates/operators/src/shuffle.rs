@@ -33,12 +33,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A resize handshake in flight: the shuffle has cut the stream with Migrate
-/// markers and is buffering its input until every replica acknowledges.
+/// markers and holds its input until every replica acknowledges.
 struct PendingResize {
     epoch: u64,
     target: usize,
     acks: Vec<bool>,
-    buffer: Vec<StreamItem>,
 }
 
 /// Elastic-mode state: the stage coordinator role of the shuffle (see
@@ -48,8 +47,11 @@ struct ElasticShuffle {
     /// Current routing width: tuples route to outputs `0..active`.
     active: usize,
     pending: Option<PendingResize>,
-    /// Highest epoch a handshake was started for (dedupes relayed copies of
-    /// the same Resize directive).
+    /// The newest `(epoch, width)` request that arrived while a handshake
+    /// was in flight; it opens the moment the current epoch commits.
+    queued: Option<(u64, usize)>,
+    /// Highest Resize epoch received (dedupes relayed copies of the same
+    /// directive).
     last_epoch: u64,
     /// End-of-stream reached: no new handshake may start.
     flushed: bool,
@@ -111,6 +113,7 @@ impl Shuffle {
             controller,
             active,
             pending: None,
+            queued: None,
             last_epoch: 0,
             flushed: false,
         });
@@ -168,43 +171,32 @@ impl Shuffle {
     }
 
     /// Reacts to a stage directive arriving on the feedback channel: Resize
-    /// opens a handshake (Migrate markers out, input buffering on), Ack
-    /// progress-tracks it, and the last Ack commits.
+    /// opens a handshake (Migrate markers out, input held) — or, if
+    /// one is already in flight, queues behind it — Ack progress-tracks it,
+    /// and the last Ack commits.  No Resize is dropped silently: each one is
+    /// applied, queued, superseded, or cancelled, and counted.
     fn on_stage_directive(
         &mut self,
         directive: StageDirective,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        let Shuffle { elastic, partitions, schema, .. } = self;
-        let Some(elastic) = elastic.as_mut() else {
+        let Some(elastic) = self.elastic.as_mut() else {
             return Ok(());
         };
         match directive {
             StageDirective::Resize { epoch, partitions: requested } => {
-                if elastic.flushed || elastic.pending.is_some() || epoch <= elastic.last_epoch {
+                if epoch <= elastic.last_epoch {
                     return Ok(());
                 }
                 elastic.last_epoch = epoch;
-                let target = requested.clamp(1, *partitions);
-                if target == elastic.active {
-                    return Ok(());
-                }
-                elastic.pending = Some(PendingResize {
-                    epoch,
-                    target,
-                    acks: vec![false; *partitions],
-                    buffer: Vec::new(),
-                });
-                // The cut: every replica (dormant ones included) sees the
-                // marker after all earlier routed tuples.
-                for port in 0..*partitions {
-                    ctx.emit_punctuation(
-                        port,
-                        Punctuation::directive(
-                            schema.clone(),
-                            StageDirective::Migrate { epoch, partitions: target },
-                        ),
-                    );
+                if elastic.flushed {
+                    elastic.controller.record_cancel();
+                } else if elastic.pending.is_some() {
+                    if elastic.queued.replace((epoch, requested)).is_some() {
+                        elastic.controller.record_superseded();
+                    }
+                } else {
+                    self.open_resize(epoch, requested, ctx);
                 }
             }
             StageDirective::Ack { epoch, replica } => {
@@ -217,7 +209,7 @@ impl Shuffle {
                 pending.acks[replica] = true;
                 if pending.acks.iter().all(|acked| *acked) {
                     let target = pending.target;
-                    self.finish_resize(target, false, ctx)?;
+                    self.finish_resize(target, false, ctx);
                 }
             }
             // Migrate and Commit are data-channel markers the shuffle emits,
@@ -227,21 +219,44 @@ impl Shuffle {
         Ok(())
     }
 
+    /// Opens a handshake for `epoch` towards `requested` replicas (a no-op
+    /// when that is already the active width).
+    fn open_resize(&mut self, epoch: u64, requested: usize, ctx: &mut OperatorContext) {
+        let elastic = self.elastic.as_mut().expect("open_resize requires elastic mode");
+        let target = requested.clamp(1, self.partitions);
+        if target == elastic.active {
+            return;
+        }
+        elastic.pending = Some(PendingResize { epoch, target, acks: vec![false; self.partitions] });
+        // Read no further input until the commit: the rest of the stream
+        // waits upstream under back-pressure, so the shuffle neither buffers
+        // it nor runs to end-of-stream ahead of the resize schedule.
+        ctx.hold_input(true);
+        // The cut: every replica (dormant ones included) sees the marker
+        // after all earlier routed tuples.
+        for port in 0..self.partitions {
+            ctx.emit_punctuation(
+                port,
+                Punctuation::directive(
+                    self.schema.clone(),
+                    StageDirective::Migrate { epoch, partitions: target },
+                ),
+            );
+        }
+    }
+
     /// Ends the in-flight handshake at `width` (the target on commit, the
-    /// old width on an end-of-stream cancel): emits Commit markers, replays
-    /// the buffered input under the new routing, and switches the feedback
-    /// lattice's membership.
-    fn finish_resize(
-        &mut self,
-        width: usize,
-        cancelled: bool,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        let (epoch, buffer) = {
+    /// old width when a flush cancels it): emits Commit markers, switches
+    /// the feedback lattice's membership, resumes the input under the new
+    /// routing, and then opens the queued request, if any (a cancel cancels
+    /// it too).
+    fn finish_resize(&mut self, width: usize, cancelled: bool, ctx: &mut OperatorContext) {
+        ctx.hold_input(false);
+        let (epoch, queued) = {
             let elastic = self.elastic.as_mut().expect("finish_resize requires elastic mode");
             let pending = elastic.pending.take().expect("a handshake is in flight");
             elastic.active = width;
-            (pending.epoch, pending.buffer)
+            (pending.epoch, elastic.queued.take())
         };
         for port in 0..self.partitions {
             ctx.emit_punctuation(
@@ -252,21 +267,6 @@ impl Shuffle {
                 ),
             );
         }
-        // Replay the input held back during the handshake: per-key order is
-        // preserved (the buffer is FIFO), only the route changes.
-        for item in buffer {
-            match item {
-                StreamItem::Tuple(tuple) => {
-                    let route = self.route_of(&tuple)?;
-                    ctx.emit(route, tuple);
-                }
-                StreamItem::Punctuation(punctuation) => {
-                    for port in 0..width {
-                        ctx.emit_punctuation(port, punctuation.clone());
-                    }
-                }
-            }
-        }
         // Unanimity is now over the new replica set; release any lattice
         // rounds a retired replica was blocking.
         let released = self.merge.set_active(&crate::elastic::membership(width, self.partitions));
@@ -276,10 +276,16 @@ impl Shuffle {
         let controller = &self.elastic.as_ref().expect("elastic mode").controller;
         if cancelled {
             controller.record_cancel();
+            // A request queued behind the cancelled one ends with the stream.
+            if queued.is_some() {
+                controller.record_cancel();
+            }
         } else {
             controller.record_resize(epoch, width);
+            if let Some((next_epoch, requested)) = queued {
+                self.open_resize(next_epoch, requested, ctx);
+            }
         }
-        Ok(())
     }
 
     /// Relays a unanimously asserted subset upstream and guards the input
@@ -332,12 +338,8 @@ impl Operator for Shuffle {
         if self.registry.decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
-        if let Some(elastic) = self.elastic.as_mut() {
+        if let Some(elastic) = &self.elastic {
             elastic.controller.report_load(ctx.queue_depth());
-            if let Some(pending) = elastic.pending.as_mut() {
-                pending.buffer.push(StreamItem::Tuple(tuple));
-                return Ok(());
-            }
         }
         let route = self.route_of(&tuple)?;
         ctx.emit(route, tuple);
@@ -387,22 +389,10 @@ impl Operator for Shuffle {
         page: dsms_engine::Page,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        if let Some(elastic) = self.elastic.as_mut() {
+        if let Some(elastic) = &self.elastic {
+            // The input is held from the Migrate cut to the commit.
+            debug_assert!(elastic.pending.is_none(), "input delivered mid-handshake");
             elastic.controller.report_load(ctx.queue_depth());
-            if elastic.pending.is_some() {
-                // Mid-handshake: everything funnels through the buffering
-                // per-item paths (migration is short; the columnar fast path
-                // resumes at commit).
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-                return Ok(());
-            }
         }
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
         match decision {
@@ -446,13 +436,7 @@ impl Operator for Shuffle {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        if let Some(elastic) = self.elastic.as_mut() {
-            if let Some(pending) = elastic.pending.as_mut() {
-                // Hold punctuation back with the tuples so the replayed
-                // stream preserves its original interleaving.
-                pending.buffer.push(StreamItem::Punctuation(punctuation));
-                return Ok(());
-            }
+        if let Some(elastic) = &self.elastic {
             // Elastic mode fans punctuation out per active port: a dormant
             // replica receives no assertions, so the merge's membership-aware
             // watermark must not wait on it.
@@ -484,16 +468,17 @@ impl Operator for Shuffle {
     }
 
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
-        // End-of-stream inside a handshake: cancel rather than commit.  The
-        // Commit marker re-installs the *old* width, the replay uses the old
-        // routing, and every parked group reclaims to its exporter — the run
-        // is indistinguishable from one where the resize never happened.
+        // Flushed inside a handshake (a shutdown: end-of-stream waits behind
+        // the held input): cancel rather than commit.  The Commit marker
+        // re-installs the *old* width and every parked group reclaims to its
+        // exporter — the run is indistinguishable from one where the resize
+        // never happened.
         let cancel_at = self.elastic.as_mut().and_then(|elastic| {
             elastic.flushed = true;
             elastic.pending.is_some().then_some(elastic.active)
         });
         if let Some(old_width) = cancel_at {
-            self.finish_resize(old_width, true, ctx)?;
+            self.finish_resize(old_width, true, ctx);
         }
         Ok(())
     }
@@ -718,5 +703,106 @@ mod tests {
         assert_eq!(s.partitions(), 1, "partition count clamped to 1");
         assert_eq!(s.key(), &["segment".to_string()]);
         assert_eq!(s.schema().arity(), 3);
+    }
+
+    /// Pass-through replica that, on its `at`-th tuple, asks the shuffle for
+    /// several resizes in one callback, so all but the first land
+    /// mid-handshake.
+    struct BackToBackResizer {
+        at: u64,
+        seen: u64,
+        targets: Vec<usize>,
+    }
+
+    impl Operator for BackToBackResizer {
+        fn name(&self) -> &str {
+            "resizer"
+        }
+        fn inputs(&self) -> usize {
+            1
+        }
+        fn schema_in(&self, _input: usize) -> Option<SchemaRef> {
+            Some(schema())
+        }
+        fn on_tuple(
+            &mut self,
+            _input: usize,
+            tuple: Tuple,
+            ctx: &mut OperatorContext,
+        ) -> EngineResult<()> {
+            self.seen += 1;
+            if self.seen == self.at {
+                for (epoch, &partitions) in (1..).zip(&self.targets) {
+                    ctx.send_feedback(
+                        0,
+                        FeedbackPunctuation::desired(Pattern::all_wildcards(schema()), "resizer")
+                            .with_directive(StageDirective::Resize { epoch, partitions }),
+                    );
+                }
+            }
+            ctx.emit(0, tuple);
+            Ok(())
+        }
+    }
+
+    /// Regression: a Resize arriving while another handshake is in flight
+    /// used to be dropped silently.  The newest one must queue and commit
+    /// right after the current one; one it overwrites counts as superseded.
+    #[test]
+    fn resize_arriving_mid_handshake_commits_after_the_current_one() {
+        use crate::VecSource;
+        use crate::{CollectSink, ElasticController, ElasticReplica, Select, TuplePredicate};
+        use dsms_engine::{QueryPlan, SyncExecutor};
+
+        // (requested widths, committed epochs, superseded requests)
+        let cases =
+            [(vec![2, 1], vec![(1, 2), (2, 1)], 0), (vec![2, 2, 1], vec![(1, 2), (3, 1)], 1)];
+        for (targets, epochs, superseded) in cases {
+            let controller = ElasticController::shared();
+            let mut plan = QueryPlan::new().with_page_capacity(4);
+            let source =
+                plan.add(VecSource::new("source", (0..200).map(|i| tuple(i, i % 8)).collect()));
+            let shuffle = plan.add(
+                Shuffle::new("shuffle", schema(), &["segment"], 2)
+                    .unwrap()
+                    .with_elastic(controller.clone(), 1),
+            );
+            let resizer = BackToBackResizer { at: 10, seen: 0, targets };
+            let replica0 = plan.add(ElasticReplica::new(resizer, 0, controller.clone()));
+            let pass = Select::new("pass", schema(), TuplePredicate::always());
+            let replica1 = plan.add(ElasticReplica::new(pass, 1, controller));
+            let (sink0, out0) = CollectSink::new("sink-0");
+            let (sink1, out1) = CollectSink::new("sink-1");
+            let (sink0, sink1) = (plan.add(sink0), plan.add(sink1));
+            plan.connect_simple(source, shuffle).unwrap();
+            plan.connect(shuffle, 0, replica0, 0).unwrap();
+            plan.connect(shuffle, 1, replica1, 0).unwrap();
+            plan.connect_simple(replica0, sink0).unwrap();
+            plan.connect_simple(replica1, sink1).unwrap();
+
+            let report = SyncExecutor::run(plan).unwrap();
+            let stats = report.operator("shuffle").unwrap().elastic.clone().unwrap();
+            assert_eq!(stats.epochs, epochs, "commits, in order: {stats:?}");
+            assert_eq!((stats.cancelled, stats.superseded), (0, superseded), "{stats:?}");
+            assert_eq!(out0.lock().len() + out1.lock().len(), 200, "no tuple lost or duplicated");
+            assert_eq!(report.total_feedback_dropped(), 0);
+        }
+    }
+
+    /// A Resize that reaches the shuffle after it flushed has no stream left
+    /// to cut: it is counted as cancelled, not dropped silently.
+    #[test]
+    fn resize_after_flush_counts_as_cancelled() {
+        let controller = crate::ElasticController::shared();
+        let mut shuffle =
+            Shuffle::new("s", schema(), &["segment"], 2).unwrap().with_elastic(controller, 1);
+        let mut ctx = OperatorContext::new();
+        shuffle.on_flush(&mut ctx).unwrap();
+        let resize = FeedbackPunctuation::desired(Pattern::all_wildcards(schema()), "merge")
+            .with_directive(StageDirective::Resize { epoch: 1, partitions: 2 });
+        shuffle.on_feedback(0, resize, &mut ctx).unwrap();
+        let stats = shuffle.elastic_stats().unwrap();
+        assert_eq!((stats.resizes, stats.cancelled), (0, 1), "{stats:?}");
+        assert!(ctx.take_emitted().is_empty(), "no Migrate marker after end-of-stream");
     }
 }

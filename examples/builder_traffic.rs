@@ -78,7 +78,7 @@ fn main() {
     let dashed = dot.lines().filter(|l| l.contains("style=dashed")).count();
     println!("graphviz export .................. {} feedback edges (dashed)", dashed);
 
-    let report = ThreadedExecutor::run(plan).expect("execution failed");
+    let report = PooledExecutor::run(plan).expect("execution failed");
     let rendered = rendered.lock();
     let segment0_after =
         rendered.iter().skip(41).filter(|r| r.tuple.int("segment").unwrap_or(-1) == 0).count();

@@ -85,7 +85,7 @@ fn main() {
     let results =
         vehicle_stream.combine(sensor_stream, impatient).unwrap().sink_collect("results").unwrap();
 
-    let report = ThreadedExecutor::run(builder.build().unwrap()).expect("execution failed");
+    let report = PooledExecutor::run(builder.build().unwrap()).expect("execution failed");
 
     let results = results.lock();
     println!("join results produced ............ {}", results.len());

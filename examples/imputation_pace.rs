@@ -50,7 +50,12 @@ fn run(feedback: bool) -> (usize, usize) {
     };
     let out = merged.sink_timed("speed-map-feed").unwrap();
 
-    let _report = ThreadedExecutor::run(builder.build().unwrap()).expect("execution failed");
+    // The paced source sleeps and IMPUTE's archive lookups hold their worker;
+    // one pool worker per node lets them overlap with the clean branch, as a
+    // thread per operator would.
+    let plan = builder.build().unwrap();
+    let workers = plan.node_count();
+    let _report = PooledExecutor::run_with_workers(plan, workers).expect("execution failed");
 
     let arrivals = out.lock();
     let mut watermark = Timestamp::MIN;

@@ -48,7 +48,7 @@ fn main() {
         .sink_timed("speculator")
         .unwrap();
 
-    let report = ThreadedExecutor::run(builder.build().unwrap()).expect("execution failed");
+    let report = PooledExecutor::run(builder.build().unwrap()).expect("execution failed");
 
     let received = received.lock();
     let eur_usd: Vec<&TimedArrival> = received

@@ -76,7 +76,7 @@ fn main() {
     let join_schema = join.output_schema().clone();
     let results = sensor_avg.combine(probe_avg, join).unwrap().sink_collect("speed-map").unwrap();
 
-    let report = ThreadedExecutor::run(builder.build().unwrap()).expect("execution failed");
+    let report = PooledExecutor::run(builder.build().unwrap()).expect("execution failed");
 
     let results = results.lock();
     let with_probe =

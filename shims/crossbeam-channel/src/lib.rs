@@ -1,259 +1,14 @@
 //! Offline stand-in for `crossbeam-channel`.
 //!
-//! Implements the subset of the crossbeam-channel API the engine uses —
-//! multi-producer **multi-consumer** bounded and unbounded channels with
-//! cloneable endpoints, blocking and non-blocking send/receive, disconnect
-//! detection, and a [`Select`]-style multi-receiver wait — on top of
-//! `std::sync::{Mutex, Condvar}`.  It is a correctness-first implementation:
-//! the lock-free fast paths of the real crate are not reproduced, which is
-//! acceptable because pages amortize per-message overhead (one queue message
-//! carries up to a page of tuples).
-//!
-//! The multi-receiver wait is an *event count*: every receiver can register a
-//! [`Waker`] (via [`SelectHandle::register`]); senders bump the waker's
-//! generation — on message arrival and on disconnect — and a waiter blocks
-//! only while the generation it captured is still current, which rules out
-//! lost wakeups without requiring the waiter to hold any channel lock.
+//! The engine's only remaining use of the crate is the event-count
+//! [`Waker`] a pooled-executor worker parks on: a notifier bumps the waker's
+//! generation, and a waiter blocks only while the generation it captured
+//! (its [`WakeToken`]) is still current, which rules out lost wakeups
+//! without requiring the waiter to hold any queue lock.  Built on
+//! `std::sync::{Mutex, Condvar}`.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::Duration;
-
-/// Error returned by [`Sender::send`] when all receivers are gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Error returned by [`Sender::try_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is bounded and at capacity.
-    Full(T),
-    /// All receivers have been dropped.
-    Disconnected(T),
-}
-
-/// Error returned by [`Receiver::recv`] when the channel is empty and all
-/// senders are gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Error returned by [`Receiver::try_recv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The channel is currently empty.
-    Empty,
-    /// The channel is empty and all senders have been dropped.
-    Disconnected,
-}
-
-struct State<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receivers: usize,
-    /// Wakers registered by selectors waiting for this channel to become
-    /// ready (non-empty or disconnected).  Dead entries are pruned whenever
-    /// the list is walked.
-    watchers: Vec<Weak<WakerInner>>,
-}
-
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    capacity: Option<usize>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-/// The sending half of a channel.  Cloneable; the channel disconnects for
-/// receivers once every clone is dropped.
-pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// The receiving half of a channel.  Cloneable (multi-consumer); the channel
-/// disconnects for senders once every clone is dropped.
-pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// Creates an unbounded channel: sends never block.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    channel(None)
-}
-
-/// Creates a bounded channel: sends block once `capacity` messages are
-/// in flight, providing back-pressure.
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    channel(Some(capacity))
-}
-
-fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            senders: 1,
-            receivers: 1,
-            watchers: Vec::new(),
-        }),
-        capacity,
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (Sender { shared: shared.clone() }, Receiver { shared })
-}
-
-impl<T> Shared<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn is_full(&self, state: &State<T>) -> bool {
-        matches!(self.capacity, Some(cap) if state.queue.len() >= cap)
-    }
-
-    /// Wakes every registered selector, pruning dead registrations.  Called
-    /// whenever the channel becomes ready for receivers: a message arrived or
-    /// the last sender disconnected.
-    fn notify_watchers(state: &mut State<T>) {
-        state.watchers.retain(|w| match w.upgrade() {
-            Some(waker) => {
-                waker.notify();
-                true
-            }
-            None => false,
-        });
-    }
-}
-
-impl<T> Sender<T> {
-    /// Sends `value`, blocking while the channel is full.  Fails only when
-    /// every receiver has been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self.shared.lock();
-        loop {
-            if state.receivers == 0 {
-                return Err(SendError(value));
-            }
-            if !self.shared.is_full(&state) {
-                state.queue.push_back(value);
-                Shared::notify_watchers(&mut state);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.shared.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Attempts to send without blocking.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.lock();
-        if state.receivers == 0 {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if self.shared.is_full(&state) {
-            return Err(TrySendError::Full(value));
-        }
-        state.queue.push_back(value);
-        Shared::notify_watchers(&mut state);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// Whether the channel is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Receives the next message, blocking until one arrives.  Fails only
-    /// when the channel is empty and every sender has been dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self.shared.not_empty.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Attempts to receive without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.lock();
-        if let Some(value) = state.queue.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(value);
-        }
-        if state.senders == 0 {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
-    }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// Whether the channel is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.shared.lock().senders += 1;
-        Sender { shared: self.shared.clone() }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.lock();
-        state.senders -= 1;
-        if state.senders == 0 {
-            // Wake blocked receivers and selectors so they observe the
-            // disconnect.
-            Shared::notify_watchers(&mut state);
-            drop(state);
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.shared.lock().receivers += 1;
-        Receiver { shared: self.shared.clone() }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.lock();
-        state.receivers -= 1;
-        if state.receivers == 0 {
-            // Wake blocked senders so they observe the disconnect.
-            drop(state);
-            self.shared.not_full.notify_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-receiver wait (Select)
-// ---------------------------------------------------------------------------
+use std::sync::{Arc, Condvar, Mutex};
 
 struct WakerInner {
     /// Event-count generation: bumped on every notification.
@@ -270,11 +25,10 @@ impl WakerInner {
     }
 }
 
-/// A wait handle shared between a blocked selector and the channels it
-/// watches.  Channels bump the waker's generation whenever they become ready
-/// for receivers; the selector captures the generation *before* scanning its
-/// channels and then sleeps only while the generation is unchanged, so an
-/// event that arrives mid-scan can never be lost.
+/// A wait handle shared between a parked waiter and its notifiers.
+/// Notifiers bump the waker's generation; the waiter captures the generation
+/// *before* scanning for work and then sleeps only while the generation is
+/// unchanged, so an event that arrives mid-scan can never be lost.
 pub struct Waker {
     inner: Arc<WakerInner>,
 }
@@ -286,7 +40,7 @@ impl Waker {
     }
 
     /// Captures the current generation.  Pass the token to [`Waker::wait`]
-    /// after scanning channels: any notification since the capture makes the
+    /// after scanning for work: any notification since the capture makes the
     /// wait return immediately.
     pub fn token(&self) -> WakeToken {
         WakeToken(*self.inner.generation.lock().unwrap_or_else(|e| e.into_inner()))
@@ -299,27 +53,6 @@ impl Waker {
         while *generation == token.0 {
             generation = self.inner.condvar.wait(generation).unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Like [`Waker::wait`] but gives up after `timeout`; returns `true` when
-    /// a notification arrived, `false` on timeout.
-    pub fn wait_timeout(&self, token: WakeToken, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut generation = self.inner.generation.lock().unwrap_or_else(|e| e.into_inner());
-        while *generation == token.0 {
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            let (guard, _res) = self
-                .inner
-                .condvar
-                .wait_timeout(generation, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            generation = guard;
-        }
-        true
     }
 
     /// Manually bumps the generation, releasing any waiter.
@@ -344,236 +77,11 @@ impl fmt::Debug for Waker {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WakeToken(u64);
 
-/// Types a [`Select`] can wait on.  Implemented by [`Receiver`]; downstream
-/// crates may implement it for wrappers by delegating both methods to an
-/// inner receiver.
-pub trait SelectHandle {
-    /// True when a receive would not block: a message is queued or the
-    /// channel is disconnected.
-    fn is_ready(&self) -> bool;
-
-    /// Registers `waker` to be notified whenever this channel becomes ready.
-    /// The registration lives until the waker is dropped.
-    fn register(&self, waker: &Waker);
-}
-
-impl<T> SelectHandle for Receiver<T> {
-    fn is_ready(&self) -> bool {
-        let state = self.shared.lock();
-        !state.queue.is_empty() || state.senders == 0
-    }
-
-    fn register(&self, waker: &Waker) {
-        let mut state = self.shared.lock();
-        // Prune dead registrations here as well as on notify: a channel that
-        // is watched repeatedly but never notified (an idle control channel
-        // under a long-running stream) must not accumulate stale entries.
-        state.watchers.retain(|w| w.strong_count() > 0);
-        state.watchers.push(Arc::downgrade(&waker.inner));
-    }
-}
-
-/// Waits for any of several receivers to become ready, without polling.
-///
-/// The API mirrors the shape of crossbeam-channel's `Select` restricted to
-/// receive operations: register receivers with [`Select::recv`] (or any
-/// [`SelectHandle`] with [`Select::watch`]), then block in [`Select::ready`],
-/// which returns the index of a ready operation.  Unlike the real crate the
-/// shim does not reserve the operation — callers simply `try_recv` on the
-/// indicated (or indeed any) receiver afterwards and retry on a miss.
-pub struct Select<'a> {
-    waker: Waker,
-    handles: Vec<&'a dyn SelectHandle>,
-}
-
-impl<'a> Select<'a> {
-    /// Creates an empty selector.
-    pub fn new() -> Self {
-        Select { waker: Waker::new(), handles: Vec::new() }
-    }
-
-    /// Adds a receive operation, returning its index.
-    pub fn recv<T>(&mut self, receiver: &'a Receiver<T>) -> usize {
-        self.watch(receiver)
-    }
-
-    /// Adds any [`SelectHandle`], returning its index.
-    pub fn watch(&mut self, handle: &'a dyn SelectHandle) -> usize {
-        handle.register(&self.waker);
-        self.handles.push(handle);
-        self.handles.len() - 1
-    }
-
-    /// Returns the index of a ready operation without blocking, if any.
-    pub fn try_ready(&self) -> Option<usize> {
-        self.handles.iter().position(|h| h.is_ready())
-    }
-
-    /// Blocks until one of the registered operations is ready and returns its
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no operations are registered (the wait could never end).
-    pub fn ready(&self) -> usize {
-        assert!(!self.handles.is_empty(), "Select::ready with no registered operations");
-        loop {
-            let token = self.waker.token();
-            if let Some(index) = self.try_ready() {
-                return index;
-            }
-            self.waker.wait(token);
-        }
-    }
-
-    /// Blocks until an operation is ready or `timeout` elapses.
-    pub fn ready_timeout(&self, timeout: Duration) -> Option<usize> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let token = self.waker.token();
-            if let Some(index) = self.try_ready() {
-                return Some(index);
-            }
-            let now = std::time::Instant::now();
-            let remaining = deadline.checked_duration_since(now).filter(|d| !d.is_zero())?;
-            if !self.waker.wait_timeout(token, remaining) {
-                return self.try_ready();
-            }
-        }
-    }
-}
-
-impl Default for Select<'_> {
-    fn default() -> Self {
-        Select::new()
-    }
-}
-
-impl fmt::Debug for Select<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Select").field("operations", &self.handles.len()).finish()
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sender").finish_non_exhaustive()
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Receiver").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn unbounded_roundtrip() {
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.len(), 2);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn bounded_reports_full_and_backpressure_releases() {
-        let (tx, rx) = bounded(1);
-        tx.try_send(1).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        let sender = {
-            let tx = tx.clone();
-            thread::spawn(move || tx.send(3))
-        };
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(sender.join().unwrap(), Ok(()));
-        assert_eq!(rx.recv(), Ok(3));
-    }
-
-    #[test]
-    fn disconnect_is_observed_on_both_ends() {
-        let (tx, rx) = bounded::<i32>(1);
-        drop(rx);
-        assert_eq!(tx.send(7), Err(SendError(7)));
-
-        let (tx, rx) = unbounded::<i32>();
-        tx.send(5).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(5));
-        assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn select_returns_ready_receiver_without_blocking() {
-        let (tx1, rx1) = unbounded::<i32>();
-        let (_tx2, rx2) = unbounded::<i32>();
-        let mut sel = Select::new();
-        let i1 = sel.recv(&rx1);
-        let i2 = sel.recv(&rx2);
-        assert_eq!((i1, i2), (0, 1));
-        assert_eq!(sel.try_ready(), None);
-        tx1.send(7).unwrap();
-        assert_eq!(sel.try_ready(), Some(i1));
-        assert_eq!(sel.ready(), i1);
-        assert_eq!(rx1.try_recv(), Ok(7));
-    }
-
-    #[test]
-    fn select_blocks_until_a_message_arrives() {
-        let (tx, rx) = bounded::<i32>(4);
-        let sender = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            tx.send(42).unwrap();
-        });
-        let mut sel = Select::new();
-        let idx = sel.recv(&rx);
-        assert_eq!(sel.ready(), idx, "ready() must wake on the send");
-        assert_eq!(rx.recv(), Ok(42));
-        sender.join().unwrap();
-    }
-
-    #[test]
-    fn select_wakes_on_disconnect() {
-        let (tx, rx) = unbounded::<i32>();
-        let mut sel = Select::new();
-        let idx = sel.recv(&rx);
-        let dropper = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            drop(tx);
-        });
-        assert_eq!(sel.ready(), idx, "disconnect counts as ready");
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        dropper.join().unwrap();
-    }
-
-    #[test]
-    fn select_ready_timeout_expires_when_idle() {
-        let (_tx, rx) = unbounded::<i32>();
-        let mut sel = Select::new();
-        sel.recv(&rx);
-        assert_eq!(sel.ready_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn repeated_selects_do_not_accumulate_watchers() {
-        let (_tx, rx) = unbounded::<i32>();
-        for _ in 0..100 {
-            let mut sel = Select::new();
-            sel.recv(&rx);
-            assert_eq!(sel.try_ready(), None);
-        }
-        // Dead registrations from dropped selectors are pruned on the next
-        // register even though the channel was never notified.
-        assert!(rx.shared.lock().watchers.len() <= 1);
-    }
+    use std::time::Duration;
 
     #[test]
     fn waker_token_prevents_lost_wakeups() {
@@ -582,25 +90,21 @@ mod tests {
         waker.notify();
         // The notification happened after the capture: wait returns at once.
         waker.wait(token);
-        let stale = waker.token();
-        assert!(!waker.wait_timeout(stale, Duration::from_millis(5)), "no event since capture");
+        assert_ne!(waker.token(), token, "the notification moved the generation");
     }
 
     #[test]
-    fn multiple_consumers_each_get_messages() {
-        let (tx, rx) = unbounded();
-        let rx2 = rx.clone();
-        for i in 0..10 {
-            tx.send(i).unwrap();
-        }
-        let mut seen = Vec::new();
-        while let Ok(v) = rx.try_recv() {
-            seen.push(v);
-            if let Ok(v) = rx2.try_recv() {
-                seen.push(v);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+    fn wait_blocks_until_another_thread_notifies() {
+        let waker = Arc::new(Waker::new());
+        let token = waker.token();
+        let notifier = {
+            let waker = Arc::clone(&waker);
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                waker.notify();
+            })
+        };
+        waker.wait(token);
+        notifier.join().unwrap();
     }
 }

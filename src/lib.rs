@@ -56,7 +56,7 @@ pub use dsms_workloads as workloads;
 ///     })
 ///     .collect();
 ///
-/// for threaded in [false, true] {
+/// for pooled in [false, true] {
 ///     let builder = StreamBuilder::new().with_page_capacity(8);
 ///     let results = builder
 ///         .source(VecSource::new("source", tuples.clone()))?
@@ -65,7 +65,7 @@ pub use dsms_workloads as workloads;
 ///     let plan = builder.build()?;
 ///
 ///     let report =
-///         if threaded { ThreadedExecutor::run(plan)? } else { SyncExecutor::run(plan)? };
+///         if pooled { PooledExecutor::run(plan)? } else { SyncExecutor::run(plan)? };
 ///     assert_eq!(results.lock().len(), 40);
 ///     assert_eq!(report.total_feedback_dropped(), 0);
 /// }
@@ -75,7 +75,6 @@ pub mod prelude {
     pub use dsms_engine::{
         ExecutionReport, Operator, OperatorContext, PooledExecutor, QueryPlan, RecoveryPolicy,
         RecoverySummary, SourceState, Stream, StreamBuilder, StreamItem, SyncExecutor,
-        ThreadedExecutor,
     };
     pub use dsms_feedback::{
         FeedbackIntent, FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
@@ -138,8 +137,8 @@ mod tests {
         let _: &PatternItem = punctuation.pattern().item_for("ts").unwrap();
 
         // A minimal source -> select -> sink plan, composed with the fluent
-        // builder and run on all three executors.
-        let run = |executor: usize| -> ExecutionReport {
+        // builder and run on both executors.
+        let run = |pooled: bool| -> ExecutionReport {
             let tuples: Vec<Tuple> = (0..20)
                 .map(|i| {
                     Tuple::new(
@@ -161,16 +160,16 @@ mod tests {
                 .sink_collect("sink")
                 .unwrap();
             let plan = builder.build().unwrap();
-            let report = match executor {
-                0 => SyncExecutor::run(plan).unwrap(),
-                1 => ThreadedExecutor::run(plan).unwrap(),
-                _ => PooledExecutor::run(plan).unwrap(),
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
+            } else {
+                SyncExecutor::run(plan).unwrap()
             };
-            assert_eq!(results.lock().len(), 15, "executor={executor}");
+            assert_eq!(results.lock().len(), 15, "pooled={pooled}");
             report
         };
-        for executor in 0..3 {
-            let report = run(executor);
+        for pooled in [false, true] {
+            let report = run(pooled);
             let source_metrics = report.operator("source").unwrap();
             assert_eq!(source_metrics.tuples_out, 20);
         }

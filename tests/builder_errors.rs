@@ -164,9 +164,9 @@ fn dangling_partition_output_fails_identically_on_both_executors() {
         plan
     };
     let sync_err = SyncExecutor::run(build_raw()).unwrap_err().to_string();
-    let threaded_err = ThreadedExecutor::run(build_raw()).unwrap_err().to_string();
+    let pooled_err = PooledExecutor::run(build_raw()).unwrap_err().to_string();
     assert_eq!(sync_err, DANGLING_PARTITION_ERROR);
-    assert_eq!(threaded_err, DANGLING_PARTITION_ERROR);
+    assert_eq!(pooled_err, DANGLING_PARTITION_ERROR);
 }
 
 /// Sources must declare (or be given) their schema, and non-source operators

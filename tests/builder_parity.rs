@@ -1,7 +1,7 @@
 //! Parity: plans composed with the fluent `StreamBuilder` must lower to
 //! exactly the behaviour of the equivalent hand-wired `QueryPlan` — on the
 //! traffic workload, builder-built and hand-built plans produce
-//! **byte-identical sorted sink digests** on all three executors, for the
+//! **byte-identical sorted sink digests** on both executors, for the
 //! plain pipeline, the hash-partitioned stage, and the scheduled-feedback
 //! path.
 
@@ -65,22 +65,20 @@ fn make_aggregate(name: String) -> WindowAggregate {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Exec {
     Sync,
-    Threaded,
     Pooled,
 }
 
-const EXECUTORS: [Exec; 3] = [Exec::Sync, Exec::Threaded, Exec::Pooled];
+const EXECUTORS: [Exec; 2] = [Exec::Sync, Exec::Pooled];
 
 fn run(plan: QueryPlan, exec: Exec) -> ExecutionReport {
     match exec {
         Exec::Sync => SyncExecutor::run(plan).unwrap(),
-        Exec::Threaded => ThreadedExecutor::run(plan).unwrap(),
         Exec::Pooled => PooledExecutor::run(plan).unwrap(),
     }
 }
 
 /// source -> select -> aggregate -> sink: builder and hand-wired plans are
-/// digest-identical on all three executors.
+/// digest-identical on both executors.
 #[test]
 fn pipeline_digests_match_hand_built_plans() {
     for exec in EXECUTORS {
@@ -138,7 +136,7 @@ fn source_digest_matches_pre_representation_change_value() {
 }
 
 /// The hash-partitioned stage: fluent `partitioned_stage` against the
-/// `PartitionedExt` plan rewrite, digest-identical on all three executors
+/// `PartitionedExt` plan rewrite, digest-identical on both executors
 /// with no feedback dropped.
 #[test]
 fn partitioned_stage_digests_match_hand_built_plans() {
@@ -183,7 +181,7 @@ fn partitioned_stage_digests_match_hand_built_plans() {
 /// Scheduled feedback: a composition-time `FeedbackSpec` subscription lowers
 /// to the same observable behaviour as a hand-wired
 /// `TimedSink::with_scheduled_feedback` — the feedback reaches the source on
-/// all three executors and (with a never-matching pattern) the digests stay
+/// both executors and (with a never-matching pattern) the digests stay
 /// byte-identical.
 #[test]
 fn feedback_subscription_matches_hand_built_scheduled_feedback() {

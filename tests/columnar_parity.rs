@@ -3,8 +3,8 @@
 //! (`VecSource` batch guards plus the `on_page` overrides of `Select`,
 //! `Project`, `Shuffle` and `WindowAggregate`) produces byte-identical sorted
 //! sink digests to the same pipeline forced onto the per-tuple fallback path
-//! — for arbitrary page capacities and guard patterns, on all three
-//! executors, with `feedback_dropped == 0` throughout.
+//! — for arbitrary page capacities and guard patterns, on both executors,
+//! with `feedback_dropped == 0` throughout.
 //!
 //! The fallback pipeline is built from the *same* operators wrapped in
 //! [`Costed::spinning`] with zero cost: `Costed` deliberately does not
@@ -22,11 +22,10 @@ const PARTITIONS: usize = 4;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Exec {
     Sync,
-    Threaded,
     Pooled,
 }
 
-const EXECUTORS: [Exec; 3] = [Exec::Sync, Exec::Threaded, Exec::Pooled];
+const EXECUTORS: [Exec; 2] = [Exec::Sync, Exec::Pooled];
 
 fn traffic_tuples() -> Vec<Tuple> {
     use feedback_dsms::workloads::{TrafficConfig, TrafficGenerator};
@@ -158,7 +157,6 @@ fn run_pipeline(
 
     let report = match exec {
         Exec::Sync => SyncExecutor::run(plan).unwrap(),
-        Exec::Threaded => ThreadedExecutor::run(plan).unwrap(),
         Exec::Pooled => PooledExecutor::run(plan).unwrap(),
     };
     let digest = digest(&results.lock());
@@ -171,8 +169,8 @@ proptest! {
     /// For arbitrary page capacities and assumed `detector` guards — equality
     /// and range patterns, including cuts that make whole batches conclusive
     /// and cuts that straddle batches — the columnar kernels and the
-    /// per-tuple fallback produce byte-identical sorted sink digests on all
-    /// three executors, and no feedback is dropped.
+    /// per-tuple fallback produce byte-identical sorted sink digests on both
+    /// executors, and no feedback is dropped.
     #[test]
     fn columnar_kernels_match_per_tuple_fallback(
         page_capacity in 1usize..24,

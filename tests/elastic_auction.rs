@@ -38,7 +38,7 @@ fn digest(tuples: &[Tuple]) -> String {
     rows.join("\n")
 }
 
-fn run_stage(adaptive: bool, threaded: bool) -> (ExecutionReport, String) {
+fn run_stage(adaptive: bool, pooled: bool) -> (ExecutionReport, String) {
     let builder = StreamBuilder::new().with_page_capacity(2).with_queue_capacity(1);
     let out_schema = replica(0).output_schema().clone();
     let shuffle =
@@ -56,8 +56,11 @@ fn run_stage(adaptive: bool, threaded: bool) -> (ExecutionReport, String) {
     };
     let results = staged.sink_collect("sink").unwrap();
     let plan = builder.build().unwrap();
-    let report = if threaded {
-        ThreadedExecutor::run(plan).unwrap()
+    let report = if pooled {
+        // One worker per node, so backlog at a boundary comes from real
+        // overlap between the operators rather than a fixed step order.
+        let workers = plan.node_count();
+        PooledExecutor::run_with_workers(plan, workers).unwrap()
     } else {
         SyncExecutor::run(plan).unwrap()
     };
@@ -71,13 +74,13 @@ fn adaptive_elastic_stage_runs_the_auction_workload_unchanged() {
     assert!(!expected.is_empty());
     assert_eq!(fixed_report.operator("shuffle").unwrap().tuples_in, 600, "20 auctions × 30 bids");
 
-    for threaded in [false, true] {
-        let (report, got) = run_stage(true, threaded);
-        assert_eq!(got, expected, "threaded={threaded}: adaptive resizing must be invisible");
-        assert_eq!(report.total_feedback_dropped(), 0, "threaded={threaded}");
+    for pooled in [false, true] {
+        let (report, got) = run_stage(true, pooled);
+        assert_eq!(got, expected, "pooled={pooled}: adaptive resizing must be invisible");
+        assert_eq!(report.total_feedback_dropped(), 0, "pooled={pooled}");
         let stats = report.operator("shuffle").unwrap().elastic.clone().unwrap();
         assert_eq!(stats.cancelled + stats.resizes, stats.epochs.len() as u64 + stats.cancelled);
-        if !threaded {
+        if !pooled {
             // Under queue_capacity = 1 the deterministic sync schedule always
             // finds backlog at some boundary: the stage must actually move.
             assert!(stats.resizes >= 1, "adaptive policy never fired: {stats:?}");

@@ -6,7 +6,7 @@
 //! driven by a *random* resize schedule (a `ElasticPolicy::Scripted` list of
 //! `(punctuation boundary, target width)` moves).  Every schedule contains at
 //! least one scale-out and one scale-in, and every elastic run must produce a
-//! sink digest byte-identical to the fixed run on all three executors, with
+//! sink digest byte-identical to the fixed run on both executors, with
 //! `feedback_dropped == 0`.
 //!
 //! The stage runs under maximal back-pressure (`queue_capacity = 1`,
@@ -104,7 +104,6 @@ fn random_schedule(rng: &mut StdRng) -> (usize, Vec<(u64, usize)>) {
 
 enum Executor {
     Sync,
-    Threaded,
     Pooled,
 }
 
@@ -140,7 +139,6 @@ fn run_stage(
     let plan = builder.build().unwrap();
     let report = match executor {
         Executor::Sync => SyncExecutor::run(plan).unwrap(),
-        Executor::Threaded => ThreadedExecutor::run(plan).unwrap(),
         Executor::Pooled => PooledExecutor::run(plan).unwrap(),
     };
     let collected = results.lock().clone();
@@ -156,12 +154,11 @@ fn random_resize_schedules_preserve_the_fixed_partition_digest() {
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(0xE1A5_7100 + seed);
         let (initial, moves) = random_schedule(&mut rng);
-        for executor in [Executor::Sync, Executor::Threaded, Executor::Pooled] {
+        for executor in [Executor::Sync, Executor::Pooled] {
             let label = format!(
                 "seed={seed} initial={initial} moves={moves:?} executor={}",
                 match executor {
                     Executor::Sync => "sync",
-                    Executor::Threaded => "threaded",
                     Executor::Pooled => "pooled",
                 }
             );

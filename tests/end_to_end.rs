@@ -31,7 +31,7 @@ fn readings(n: i64, segments: i64) -> Vec<Tuple> {
 /// the same aggregate results.
 #[test]
 fn executors_agree_on_windowed_aggregation() {
-    let run = |threaded: bool| -> Vec<Tuple> {
+    let run = |pooled: bool| -> Vec<Tuple> {
         let builder = StreamBuilder::new().with_page_capacity(8);
         let results = builder
             .source(
@@ -49,8 +49,8 @@ fn executors_agree_on_windowed_aggregation() {
             .sink_collect("out")
             .unwrap();
         let plan = builder.build().unwrap();
-        let report = if threaded {
-            ThreadedExecutor::run(plan).unwrap()
+        let report = if pooled {
+            PooledExecutor::run(plan).unwrap()
         } else {
             SyncExecutor::run(plan).unwrap()
         };
@@ -60,9 +60,9 @@ fn executors_agree_on_windowed_aggregation() {
         out
     };
     let sync_results = run(false);
-    let threaded_results = run(true);
+    let pooled_results = run(true);
     assert_eq!(sync_results.len(), 30, "10 windows × 3 segments");
-    assert_eq!(sync_results, threaded_results);
+    assert_eq!(sync_results, pooled_results);
 }
 
 /// The full feedback loop: a sink assumes a segment away; the aggregate purges
@@ -181,8 +181,10 @@ fn feedback_exploitation_satisfies_definition_1() {
     assert!(exploited.len() < reference.len(), "exploitation actually removed something");
 }
 
-/// PACE + IMPUTE end to end on the threaded executor: feedback reduces wasted
-/// archival lookups compared to the same plan without feedback.
+/// PACE + IMPUTE end to end on a pool with one worker per node (the paced
+/// source and the archival lookups overlap as they would with a thread per
+/// operator): feedback reduces wasted archival lookups compared to the same
+/// plan without feedback.
 #[test]
 fn pace_feedback_reduces_wasted_imputation_work() {
     use feedback_dsms::workloads::{ImputationConfig, ImputationGenerator};
@@ -224,7 +226,9 @@ fn pace_feedback_reduces_wasted_imputation_work() {
             imputed.union(clean, "UNION").unwrap()
         };
         let _out = merged.sink_timed("out").unwrap();
-        let report = ThreadedExecutor::run(builder.build().unwrap()).unwrap();
+        let plan = builder.build().unwrap();
+        let workers = plan.node_count();
+        let report = PooledExecutor::run_with_workers(plan, workers).unwrap();
         let impute_metrics = report.operator("IMPUTE").unwrap();
         (impute_metrics.tuples_out, impute_metrics.feedback.tuples_suppressed)
     };

@@ -1,5 +1,5 @@
 //! Multi-query isolation properties of the [`PipelineManager`], under
-//! maximal back-pressure (`queue_capacity = 1`) on all three executors:
+//! maximal back-pressure (`queue_capacity = 1`) on both executors:
 //!
 //! 1. **Feedback isolation** — desired-intent feedback issued inside one
 //!    query never reaches a sibling's private operators, and never reaches
@@ -93,8 +93,7 @@ fn managed_plan(
     (builder.build().unwrap(), handle)
 }
 
-const EXECUTORS: [ExecutorKind; 3] =
-    [ExecutorKind::Sync, ExecutorKind::Threaded, ExecutorKind::Pooled];
+const EXECUTORS: [ExecutorKind; 2] = [ExecutorKind::Sync, ExecutorKind::Pooled];
 
 /// Every private operator of the named query must be feedback-silent.
 fn assert_feedback_silent(outcome: &ManagerOutcome, query: &str) {

@@ -12,7 +12,7 @@
 //!    point is broadcast to *every* upstream replica, relays across the
 //!    replicas, lattice-merges at the shuffle, and reaches the source — with
 //!    `feedback_dropped == 0` even under maximal back-pressure
-//!    (`queue_capacity = 1`), on all three executors.
+//!    (`queue_capacity = 1`), on both executors.
 
 use feedback_dsms::feedback::ExplicitPolicy;
 use feedback_dsms::prelude::*;
@@ -22,16 +22,14 @@ use proptest::prelude::*;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Exec {
     Sync,
-    Threaded,
     Pooled,
 }
 
-const EXECUTORS: [Exec; 3] = [Exec::Sync, Exec::Threaded, Exec::Pooled];
+const EXECUTORS: [Exec; 2] = [Exec::Sync, Exec::Pooled];
 
 fn run_plan(plan: QueryPlan, exec: Exec) -> ExecutionReport {
     match exec {
         Exec::Sync => SyncExecutor::run(plan).unwrap(),
-        Exec::Threaded => ThreadedExecutor::run(plan).unwrap(),
         Exec::Pooled => PooledExecutor::run(plan).unwrap(),
     }
 }
@@ -115,8 +113,7 @@ fn run_partitioned(exec: Exec, partitions: usize) -> (ExecutionReport, Vec<Tuple
     (report, collected)
 }
 
-/// The headline equivalence: for 2, 4 and 8 partitions, on all three
-/// executors,
+/// The headline equivalence: for 2, 4 and 8 partitions, on both executors,
 /// the partitioned aggregate's sink output is byte-identical (canonically
 /// sorted) to the single-replica plan's, and no feedback is dropped.
 #[test]
@@ -246,7 +243,7 @@ proptest! {
     /// An FP emitted by the merge reaches **every** upstream replica,
     /// lattice-merges at the shuffle, and arrives at the source — with
     /// nothing dropped, under maximal back-pressure (queue_capacity = 1),
-    /// on all three executors.
+    /// on both executors.
     #[test]
     fn merge_feedback_reaches_every_replica_and_the_source(
         partitions in 2usize..9,
@@ -287,7 +284,7 @@ proptest! {
 }
 
 /// Deterministic version of the back-pressure case for quick failure
-/// localization: 4 partitions, queue capacity 1, all three executors.
+/// localization: 4 partitions, queue capacity 1, both executors.
 #[test]
 fn backpressured_partitioned_plan_drops_no_feedback() {
     for exec in EXECUTORS {

@@ -1,5 +1,5 @@
 //! Supervised recovery under deterministic fault injection, pinned across
-//! all three executors at maximal back-pressure (`queue_capacity = 1`).
+//! both executors at maximal back-pressure (`queue_capacity = 1`).
 //!
 //! Every fault here is scripted by a [`Chaos`] wrapper — panic at an exact
 //! tuple ordinal, a transient error that heals after k firings, a stall that
@@ -9,11 +9,11 @@
 //! * a supervised operator (`RecoveryPolicy::Restart`) restarts in place:
 //!   the checkpoint restores its state, the retained post-checkpoint suffix
 //!   replays, and the **sorted sink digest is byte-identical to a fault-free
-//!   run** on sync, threaded, and pooled executors alike;
+//!   run** on sync and pooled executors alike;
 //! * `restarts`, `checkpoints_taken`, and `tuples_replayed` are reported,
 //!   and `feedback_dropped == 0` — recovery must not eat control messages;
-//! * a fail-fast operator failure carries **identical error text** on all
-//!   three executors (the lifecycle attributes it once, executors pass it
+//! * a fail-fast operator failure carries **identical error text** on both
+//!   executors (the lifecycle attributes it once, executors pass it
 //!   through);
 //! * an exhausted restart budget with quarantine enabled tombstones the
 //!   failed stream instead of failing the run, and under a
@@ -64,17 +64,15 @@ fn restart(max_restarts: u32) -> RecoveryPolicy {
 #[derive(Clone, Copy, PartialEq)]
 enum Exec {
     Sync,
-    Threaded,
     Pooled,
 }
 
-const EXECUTORS: [Exec; 3] = [Exec::Sync, Exec::Threaded, Exec::Pooled];
+const EXECUTORS: [Exec; 2] = [Exec::Sync, Exec::Pooled];
 
 impl Exec {
     fn run(self, plan: QueryPlan) -> Result<ExecutionReport, feedback_dsms::engine::EngineError> {
         match self {
             Exec::Sync => SyncExecutor::run(plan),
-            Exec::Threaded => ThreadedExecutor::run(plan),
             Exec::Pooled => PooledExecutor::run(plan),
         }
     }
@@ -82,7 +80,6 @@ impl Exec {
     fn name(self) -> &'static str {
         match self {
             Exec::Sync => "sync",
-            Exec::Threaded => "threaded",
             Exec::Pooled => "pooled",
         }
     }
@@ -287,8 +284,7 @@ fn failfast_panic_text_is_identical_across_executors() {
 
     let texts: Vec<String> =
         EXECUTORS.iter().map(|exec| exec.run(build()).unwrap_err().to_string()).collect();
-    assert_eq!(texts[0], texts[1], "sync and threaded must agree");
-    assert_eq!(texts[0], texts[2], "sync and pooled must agree");
+    assert_eq!(texts[0], texts[1], "sync and pooled must agree");
     assert!(
         texts[0].contains("chaos:filter") && texts[0].contains("operator panicked"),
         "the failure names the operator and the panic: {}",
@@ -345,7 +341,7 @@ fn exhausted_restart_budget_quarantines_query_but_not_siblings() {
         rows
     };
 
-    for kind in [ExecutorKind::Sync, ExecutorKind::Threaded, ExecutorKind::Pooled] {
+    for kind in [ExecutorKind::Sync, ExecutorKind::Pooled] {
         let mut manager = PipelineManager::new();
         manager.add_source("feed", source(200, 8)).unwrap();
 

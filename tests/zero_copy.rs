@@ -88,7 +88,7 @@ fn clone_shares_and_with_value_rebuilds() {
 /// tuple values either.
 #[test]
 fn executors_never_deep_copy_text_values() {
-    for threaded in [false, true] {
+    for pooled in [false, true] {
         let text: Arc<str> = Arc::from("US-26 westbound near the zoo");
         let tuples: Vec<Tuple> = (0..100).map(|seg| text_tuple(&text, seg)).collect();
         assert_eq!(Arc::strong_count(&text), 101, "probe + one buffer per tuple");
@@ -106,15 +106,15 @@ fn executors_never_deep_copy_text_values() {
         for (i, branch) in branches.into_iter().enumerate() {
             handles.push(branch.sink_collect(format!("sink-{i}")).unwrap());
         }
-        let report = if threaded {
-            ThreadedExecutor::run(builder.build().unwrap()).unwrap()
+        let report = if pooled {
+            PooledExecutor::run(builder.build().unwrap()).unwrap()
         } else {
             SyncExecutor::run(builder.build().unwrap()).unwrap()
         };
         assert_eq!(report.total_feedback_dropped(), 0);
 
         let collected: usize = handles.iter().map(|h| h.lock().len()).sum();
-        assert_eq!(collected, 200, "threaded={threaded}: both sinks got every tuple");
+        assert_eq!(collected, 200, "pooled={pooled}: both sinks got every tuple");
         // The two sink copies of each input tuple share one value buffer, and
         // each buffer holds the single tuple-side text reference: probe + 100
         // buffers.  Anything above that means a hop deep-copied; 200 would be
@@ -122,9 +122,9 @@ fn executors_never_deep_copy_text_values() {
         assert_eq!(
             Arc::strong_count(&text),
             101,
-            "threaded={threaded}: a deep copy happened somewhere on the hot path"
+            "pooled={pooled}: a deep copy happened somewhere on the hot path"
         );
         drop(handles);
-        assert_eq!(Arc::strong_count(&text), 1, "threaded={threaded}");
+        assert_eq!(Arc::strong_count(&text), 1, "pooled={pooled}");
     }
 }
