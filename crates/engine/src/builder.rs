@@ -111,11 +111,10 @@
 //! ```
 
 use crate::error::{EngineError, EngineResult};
-use crate::operator::{Operator, OperatorContext, SourceState};
+use crate::operator::{Operator, OperatorContext};
 use crate::page::Page;
 use crate::plan::{NodeId, QueryPlan};
-use dsms_feedback::{FeedbackPunctuation, FeedbackRoles, FeedbackSpec, FeedbackTrigger};
-use dsms_punctuation::Punctuation;
+use dsms_feedback::{FeedbackRoles, FeedbackSpec, FeedbackTrigger};
 use dsms_types::SchemaRef;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -728,8 +727,8 @@ struct Subscription {
 }
 
 /// Transparent wrapper realizing composition-time feedback subscriptions: it
-/// delegates every callback to the wrapped operator (keeping its name, so
-/// metrics are unaffected) while counting tuple arrivals per input port and
+/// adds the producer role to the wrapped operator (keeping its name, so
+/// metrics are unaffected), counting tuple arrivals per input port and
 /// sending each subscribed [`FeedbackSpec`] upstream once its trigger fires.
 struct FeedbackSubscriber {
     inner: Box<dyn Operator>,
@@ -757,33 +756,19 @@ impl FeedbackSubscriber {
     }
 }
 
-impl Operator for FeedbackSubscriber {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl crate::operator::Wrapper for FeedbackSubscriber {
+    type Inner = dyn Operator;
+
+    fn inner(&self) -> &Self::Inner {
+        &*self.inner
     }
 
-    fn inputs(&self) -> usize {
-        self.inner.inputs()
-    }
-
-    fn outputs(&self) -> usize {
-        self.inner.outputs()
-    }
-
-    fn must_connect_all_outputs(&self) -> bool {
-        self.inner.must_connect_all_outputs()
+    fn inner_mut(&mut self) -> &mut Self::Inner {
+        &mut *self.inner
     }
 
     fn feedback_roles(&self) -> FeedbackRoles {
         self.inner.feedback_roles().union(FeedbackRoles::producer())
-    }
-
-    fn schema_in(&self, input: usize) -> Option<SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<SchemaRef> {
-        self.inner.schema_out(output)
     }
 
     fn on_tuple(
@@ -805,73 +790,19 @@ impl Operator for FeedbackSubscriber {
         Ok(())
     }
 
-    fn on_punctuation(
-        &mut self,
-        input: usize,
-        punctuation: Punctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_punctuation(input, punctuation, ctx)
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_feedback(output, feedback, ctx)
-    }
-
-    fn on_request_results(&mut self, output: usize, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_request_results(output, ctx)
-    }
-
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
         self.inner.on_flush(ctx)?;
         self.fire_due(true, ctx);
         Ok(())
     }
 
-    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-        self.inner.poll_source(ctx)
-    }
-
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        self.inner.feedback_stats()
-    }
-
-    fn export_state(&mut self) -> Vec<crate::operator::StateEntry> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, entries: Vec<crate::operator::StateEntry>) -> EngineResult<()> {
-        self.inner.import_state(entries)
-    }
-
-    fn elastic_stats(&self) -> Option<crate::metrics::ElasticStats> {
-        self.inner.elastic_stats()
-    }
-
     // The wrapper's own obligations (`seen` counters, un-fired
     // subscriptions) are not checkpointed and a replay would re-fire
     // feedback the upstream operator already consumed, so a subscribing
     // wrapper is never restartable.  (With no subscriptions the wrapper is
-    // not even constructed, so the expression below is belt-and-braces.)
+    // not constructed at all.)
     fn restartable(&self) -> bool {
-        self.subscriptions.is_empty() && self.inner.restartable()
-    }
-
-    fn checkpoint(&self) -> EngineResult<Vec<crate::operator::StateEntry>> {
-        self.inner.checkpoint()
-    }
-
-    fn restore(&mut self, entries: Vec<crate::operator::StateEntry>) -> EngineResult<()> {
-        self.inner.restore(entries)
-    }
-
-    fn absorb_shutdown(&mut self, output: usize, ctx: &mut OperatorContext) -> bool {
-        self.inner.absorb_shutdown(output, ctx)
+        false
     }
 }
 
@@ -879,10 +810,10 @@ impl Operator for FeedbackSubscriber {
 mod tests {
     use super::*;
     use crate::executor::SyncExecutor;
-    use crate::operator::StreamItem;
+    use crate::operator::{SourceState, StreamItem};
     use crate::pooled::PooledExecutor;
-    use dsms_feedback::FeedbackIntent;
-    use dsms_punctuation::{Pattern, PatternItem};
+    use dsms_feedback::{FeedbackIntent, FeedbackPunctuation};
+    use dsms_punctuation::{Pattern, PatternItem, Punctuation};
     use dsms_types::{DataType, Schema, Timestamp, Tuple, Value};
     use parking_lot::Mutex;
     use std::sync::Arc;

@@ -7,6 +7,24 @@
 //! Keeping the context as a plain buffer (rather than handing operators raw
 //! queue endpoints) lets the same operator code run unchanged under the
 //! worker-pool executor and the deterministic single-threaded executor.
+//!
+//! # Wrapping an operator
+//!
+//! An operator that adds behaviour to another one — a feedback role, a
+//! simulated cost, an injected fault — implements [`Wrapper`] instead of
+//! [`Operator`]: it names the wrapped operator via [`Wrapper::inner`] /
+//! [`Wrapper::inner_mut`] and overrides only the hooks it changes.  The
+//! blanket `impl<W: Wrapper> Operator for W` forwards everything else, so a
+//! method added to [`Operator`] reaches every wrapped operator without
+//! touching the wrappers.  The one exception is deliberate:
+//! [`Operator::fingerprint`] and [`Operator::shared_source`] are never
+//! forwarded, because a wrapped operator is not interchangeable with the
+//! bare one — prefix deduplication must not merge them, and a wrapped
+//! placeholder is not a placeholder any more.
+//!
+//! A wrapper implements both traits, so with both in scope a method call on
+//! a concrete wrapper is ambiguous: name the trait in the `impl` by path
+//! (`impl dsms_engine::Wrapper for …`) and import only [`Operator`].
 
 use crate::error::EngineResult;
 use crate::page::Page;
@@ -547,6 +565,193 @@ pub trait Operator: Send {
     }
 }
 
+/// An operator defined as a delta over another one: every hook forwards to
+/// the wrapped operator unless overridden (see the module docs, "Wrapping an
+/// operator").
+pub trait Wrapper: Send {
+    /// The wrapped operator's type (`dyn Operator` for a boxed one).
+    type Inner: Operator + ?Sized;
+
+    /// The wrapped operator.
+    fn inner(&self) -> &Self::Inner;
+
+    /// The wrapped operator, mutably.
+    fn inner_mut(&mut self) -> &mut Self::Inner;
+
+    /// See [`Operator::name`].
+    fn name(&self) -> &str {
+        self.inner().name()
+    }
+
+    /// See [`Operator::feedback_roles`].
+    fn feedback_roles(&self) -> FeedbackRoles {
+        self.inner().feedback_roles()
+    }
+
+    /// See [`Operator::restartable`].
+    fn restartable(&self) -> bool {
+        self.inner().restartable()
+    }
+
+    /// See [`Operator::on_tuple`].
+    fn on_tuple(
+        &mut self,
+        input: usize,
+        tuple: Tuple,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        self.inner_mut().on_tuple(input, tuple, ctx)
+    }
+
+    /// See [`Operator::on_page`].
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        self.inner_mut().on_page(input, page, ctx)
+    }
+
+    /// See [`Operator::on_punctuation`].
+    fn on_punctuation(
+        &mut self,
+        input: usize,
+        punctuation: Punctuation,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        self.inner_mut().on_punctuation(input, punctuation, ctx)
+    }
+
+    /// See [`Operator::on_feedback`].
+    fn on_feedback(
+        &mut self,
+        output: usize,
+        feedback: FeedbackPunctuation,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        self.inner_mut().on_feedback(output, feedback, ctx)
+    }
+
+    /// See [`Operator::on_flush`].
+    fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
+        self.inner_mut().on_flush(ctx)
+    }
+
+    /// See [`Operator::checkpoint`].
+    fn checkpoint(&self) -> EngineResult<Vec<StateEntry>> {
+        self.inner().checkpoint()
+    }
+
+    /// See [`Operator::restore`].
+    fn restore(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
+        self.inner_mut().restore(entries)
+    }
+}
+
+impl<W: Wrapper> Operator for W {
+    fn name(&self) -> &str {
+        Wrapper::name(self)
+    }
+
+    fn inputs(&self) -> usize {
+        self.inner().inputs()
+    }
+
+    fn outputs(&self) -> usize {
+        self.inner().outputs()
+    }
+
+    fn must_connect_all_outputs(&self) -> bool {
+        self.inner().must_connect_all_outputs()
+    }
+
+    fn feedback_roles(&self) -> FeedbackRoles {
+        Wrapper::feedback_roles(self)
+    }
+
+    fn schema_in(&self, input: usize) -> Option<SchemaRef> {
+        self.inner().schema_in(input)
+    }
+
+    fn schema_out(&self, output: usize) -> Option<SchemaRef> {
+        self.inner().schema_out(output)
+    }
+
+    fn on_tuple(
+        &mut self,
+        input: usize,
+        tuple: Tuple,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        Wrapper::on_tuple(self, input, tuple, ctx)
+    }
+
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        Wrapper::on_page(self, input, page, ctx)
+    }
+
+    fn on_punctuation(
+        &mut self,
+        input: usize,
+        punctuation: Punctuation,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        Wrapper::on_punctuation(self, input, punctuation, ctx)
+    }
+
+    fn on_feedback(
+        &mut self,
+        output: usize,
+        feedback: FeedbackPunctuation,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        Wrapper::on_feedback(self, output, feedback, ctx)
+    }
+
+    fn on_request_results(&mut self, output: usize, ctx: &mut OperatorContext) -> EngineResult<()> {
+        self.inner_mut().on_request_results(output, ctx)
+    }
+
+    fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
+        Wrapper::on_flush(self, ctx)
+    }
+
+    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
+        self.inner_mut().poll_source(ctx)
+    }
+
+    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
+        self.inner().feedback_stats()
+    }
+
+    fn export_state(&mut self) -> Vec<StateEntry> {
+        self.inner_mut().export_state()
+    }
+
+    fn import_state(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
+        self.inner_mut().import_state(entries)
+    }
+
+    fn elastic_stats(&self) -> Option<crate::metrics::ElasticStats> {
+        self.inner().elastic_stats()
+    }
+
+    fn restartable(&self) -> bool {
+        Wrapper::restartable(self)
+    }
+
+    fn checkpoint(&self) -> EngineResult<Vec<StateEntry>> {
+        Wrapper::checkpoint(self)
+    }
+
+    fn restore(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
+        Wrapper::restore(self, entries)
+    }
+
+    fn absorb_shutdown(&mut self, output: usize, ctx: &mut OperatorContext) -> bool {
+        self.inner_mut().absorb_shutdown(output, ctx)
+    }
+
+    // `fingerprint` and `shared_source` keep their `None` defaults: a
+    // wrapped operator is never interchangeable with the bare one.
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +900,156 @@ mod tests {
         assert_eq!(exploded.len(), 1);
         assert_eq!(exploded[0].0, 2, "explosion preserves the port");
         assert_eq!(ctx.emitted_len(), 0, "drained");
+    }
+
+    /// Answers each query distinctively and records each callback by name;
+    /// its fingerprint and shared source must not leak through a wrapper.
+    #[derive(Default)]
+    struct Recording {
+        calls: Vec<&'static str>,
+    }
+
+    impl Operator for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+        fn inputs(&self) -> usize {
+            3
+        }
+        fn outputs(&self) -> usize {
+            2
+        }
+        fn must_connect_all_outputs(&self) -> bool {
+            true
+        }
+        fn feedback_roles(&self) -> FeedbackRoles {
+            FeedbackRoles::exploiter()
+        }
+        fn schema_in(&self, _: usize) -> Option<SchemaRef> {
+            Some(schema())
+        }
+        fn schema_out(&self, _: usize) -> Option<SchemaRef> {
+            Some(schema())
+        }
+        fn on_tuple(&mut self, _: usize, _: Tuple, _: &mut OperatorContext) -> EngineResult<()> {
+            self.calls.push("on_tuple");
+            Ok(())
+        }
+        fn on_page(&mut self, _: usize, _: Page, _: &mut OperatorContext) -> EngineResult<()> {
+            self.calls.push("on_page");
+            Ok(())
+        }
+        fn on_punctuation(
+            &mut self,
+            _: usize,
+            _: Punctuation,
+            _: &mut OperatorContext,
+        ) -> EngineResult<()> {
+            self.calls.push("on_punctuation");
+            Ok(())
+        }
+        fn on_feedback(
+            &mut self,
+            _: usize,
+            _: FeedbackPunctuation,
+            _: &mut OperatorContext,
+        ) -> EngineResult<()> {
+            self.calls.push("on_feedback");
+            Ok(())
+        }
+        fn on_request_results(&mut self, _: usize, _: &mut OperatorContext) -> EngineResult<()> {
+            self.calls.push("on_request_results");
+            Ok(())
+        }
+        fn on_flush(&mut self, _: &mut OperatorContext) -> EngineResult<()> {
+            self.calls.push("on_flush");
+            Ok(())
+        }
+        fn poll_source(&mut self, _: &mut OperatorContext) -> EngineResult<SourceState> {
+            self.calls.push("poll_source");
+            Ok(SourceState::Producing)
+        }
+        fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
+            Some(Default::default())
+        }
+        fn export_state(&mut self) -> Vec<StateEntry> {
+            self.calls.push("export_state");
+            vec![StateEntry { key: Vec::new(), payload: Box::new(()) }]
+        }
+        fn import_state(&mut self, _: Vec<StateEntry>) -> EngineResult<()> {
+            self.calls.push("import_state");
+            Ok(())
+        }
+        fn elastic_stats(&self) -> Option<crate::metrics::ElasticStats> {
+            Some(Default::default())
+        }
+        fn restartable(&self) -> bool {
+            true
+        }
+        fn checkpoint(&self) -> EngineResult<Vec<StateEntry>> {
+            Ok(vec![StateEntry { key: Vec::new(), payload: Box::new(()) }])
+        }
+        fn restore(&mut self, _: Vec<StateEntry>) -> EngineResult<()> {
+            self.calls.push("restore");
+            Ok(())
+        }
+        fn absorb_shutdown(&mut self, _: usize, _: &mut OperatorContext) -> bool {
+            self.calls.push("absorb_shutdown");
+            true
+        }
+        fn fingerprint(&self) -> Option<u64> {
+            Some(7)
+        }
+        fn shared_source(&self) -> Option<&str> {
+            Some("feed")
+        }
+    }
+
+    /// The smallest wrapper: overrides nothing.
+    struct Transparent(Recording);
+
+    impl Wrapper for Transparent {
+        type Inner = Recording;
+        fn inner(&self) -> &Recording {
+            &self.0
+        }
+        fn inner_mut(&mut self) -> &mut Recording {
+            &mut self.0
+        }
+    }
+
+    #[test]
+    fn wrapper_forwards_everything_but_fingerprint_and_shared_source() {
+        let mut wrapper = Transparent(Recording::default());
+        let mut ctx = OperatorContext::new();
+        let progress = Punctuation::progress(schema(), "timestamp", Timestamp::EPOCH).unwrap();
+        let feedback = FeedbackPunctuation::assumed(Pattern::all_wildcards(schema()), "x");
+        let op: &mut dyn Operator = &mut wrapper;
+        assert_eq!(op.name(), "recording");
+        assert_eq!((op.inputs(), op.outputs()), (3, 2));
+        assert!(op.must_connect_all_outputs());
+        assert_eq!(op.feedback_roles(), FeedbackRoles::exploiter());
+        assert_eq!((op.schema_in(0), op.schema_out(0)), (Some(schema()), Some(schema())));
+        assert!(op.feedback_stats().is_some() && op.elastic_stats().is_some());
+        assert!(op.restartable());
+        assert_eq!(op.checkpoint().unwrap().len(), 1);
+        op.on_tuple(0, tuple(1), &mut ctx).unwrap();
+        op.on_page(0, Page::from_items(vec![StreamItem::Tuple(tuple(2))]), &mut ctx).unwrap();
+        op.on_punctuation(0, progress, &mut ctx).unwrap();
+        op.on_feedback(0, feedback, &mut ctx).unwrap();
+        op.on_request_results(0, &mut ctx).unwrap();
+        op.on_flush(&mut ctx).unwrap();
+        assert_eq!(op.poll_source(&mut ctx).unwrap(), SourceState::Producing);
+        assert_eq!(op.export_state().len(), 1);
+        op.import_state(Vec::new()).unwrap();
+        op.restore(Vec::new()).unwrap();
+        assert!(op.absorb_shutdown(0, &mut ctx));
+        assert_eq!(op.fingerprint(), None, "a wrapped operator is not the bare one");
+        assert_eq!(op.shared_source(), None, "a wrapped placeholder is not a placeholder");
+        let forwarded = "on_tuple on_page on_punctuation on_feedback on_request_results on_flush \
+                         poll_source export_state import_state restore absorb_shutdown";
+        assert_eq!(wrapper.0.calls.join(" "), forwarded);
+        assert_eq!((wrapper.0.fingerprint(), wrapper.0.shared_source()), (Some(7), Some("feed")));
     }
 
     #[test]

@@ -22,9 +22,11 @@ impl NodeId {
     }
 }
 
-/// One node of a dismantled plan — see [`QueryPlan::into_parts`].
+/// One named node of a plan — what [`QueryPlan::into_parts`] takes out and
+/// [`QueryPlan::add_node`] puts in.
 pub struct PlanNode {
-    /// The operator's display name at the time the plan was dismantled.
+    /// The node's display name: the operator's own name unless the node was
+    /// added under another one via [`QueryPlan::add_node`].
     pub name: String,
     /// The operator itself, ready to be re-added to another plan.
     pub operator: Box<dyn Operator>,
@@ -311,9 +313,19 @@ impl QueryPlan {
 
     /// Adds an already-boxed operator to the plan.
     pub fn add_boxed(&mut self, operator: Box<dyn Operator>) -> NodeId {
+        self.add_node(PlanNode { name: operator.name().to_string(), operator })
+    }
+
+    /// Adds a node under the given name — the inverse of
+    /// [`into_parts`](QueryPlan::into_parts).  The plan reports, attributes
+    /// errors to and draws the node under `node.name`, whatever the
+    /// operator's own [`Operator::name`] says; a multi-query manager uses
+    /// this to give spliced nodes query-scoped names.
+    pub fn add_node(&mut self, node: PlanNode) -> NodeId {
+        let PlanNode { name, operator } = node;
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            name: operator.name().to_string(),
+            name,
             inputs: operator.inputs(),
             outputs: operator.outputs(),
             operator,
@@ -741,6 +753,19 @@ mod tests {
         assert_eq!(order.first(), Some(&src));
         assert_eq!(order.last(), Some(&sink));
         assert_eq!(plan.node_name(map), Some("map"));
+    }
+
+    #[test]
+    fn add_node_names_the_node_not_the_operator() {
+        let mut plan = QueryPlan::new();
+        let src = plan.add(Dummy::new("source", 0, 1));
+        let operator = Box::new(Dummy::new("sink", 1, 0));
+        let sink = plan.add_node(PlanNode { name: "q/sink".into(), operator });
+        plan.connect_simple(src, sink).unwrap();
+        assert_eq!(plan.node_name(sink), Some("q/sink"));
+        let report = crate::executor::SyncExecutor::run(plan).unwrap();
+        assert!(report.operator("q/sink").is_some(), "metrics carry the node name");
+        assert!(report.operator("sink").is_none(), "not the operator's own name");
     }
 
     #[test]

@@ -73,7 +73,6 @@
 #![warn(missing_docs)]
 
 mod manager;
-mod scoped;
 mod source_ref;
 
 pub use manager::{

@@ -1,6 +1,5 @@
 //! The multi-query pipeline manager.
 
-use crate::scoped::ScopedOperator;
 use crate::source_ref::SourceRef;
 use dsms_engine::{Edge, NodeId};
 use dsms_engine::{
@@ -604,10 +603,8 @@ impl PipelineManager {
                         if let Some(schema) = node.operator.schema_out(0) {
                             spine_schema = schema;
                         }
-                        let id = master.add_boxed(Box::new(ScopedOperator::new(
-                            format!("shared/{source_name}/{group_no}/{}", node.name),
-                            node.operator,
-                        )));
+                        let name = format!("shared/{source_name}/{group_no}/{}", node.name);
+                        let id = master.add_node(PlanNode { name, ..node });
                         match spine.last() {
                             Some(&prev) => master.connect(prev, 0, id, 0)?,
                             None => master.connect(fanout0_id, group_no, id, 0)?,
@@ -836,10 +833,7 @@ fn splice_suffix(
     let mut map: HashMap<usize, NodeId> = HashMap::new();
     for (idx, slot) in slots.into_iter().enumerate() {
         if let Some(node) = slot {
-            let id = master.add_boxed(Box::new(ScopedOperator::new(
-                format!("{query}/{}", node.name),
-                node.operator,
-            )));
+            let id = master.add_node(PlanNode { name: format!("{query}/{}", node.name), ..node });
             if let Some(&policy) = recovery.get(idx) {
                 master.set_recovery(id, policy)?;
             }
@@ -956,14 +950,15 @@ mod tests {
         assert_eq!(outcome.summary.queries_started, 2);
         assert_eq!(outcome.summary.queries_stopped, 0);
         assert_eq!(outcome.master.total_feedback_dropped(), 0);
-        // The shared spine exists exactly once in the master plan.
-        let shared_selects = outcome
-            .master
-            .metrics
-            .iter()
-            .filter(|m| m.operator.starts_with("shared/feed/") && m.operator.ends_with("/filter"))
-            .count();
-        assert_eq!(shared_selects, 1);
+        // The shared spine exists exactly once in the master plan, and every
+        // spliced node carries its scoped name.
+        let mut names: Vec<&str> =
+            outcome.master.metrics.iter().map(|m| m.operator.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["fanout/feed", "fanout/feed/0", "feed", "qa/sink", "qb/sink", "shared/feed/0/filter"]
+        );
         // Per-query reports resolve unscoped operator names.
         let qa = outcome.query("qa").unwrap();
         assert!(qa.operator("sink").is_some());

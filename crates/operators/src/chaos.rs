@@ -21,12 +21,7 @@
 //! is checkpointed, so replay after a restart re-counts the same tuples and
 //! re-buffers the same pages without double-firing the fault.
 
-use dsms_engine::{
-    EngineError, EngineResult, Operator, OperatorContext, Page, SourceState, StateEntry,
-};
-use dsms_feedback::{FeedbackPunctuation, FeedbackRoles};
-use dsms_punctuation::Punctuation;
-use dsms_types::{SchemaRef, Tuple};
+use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, Page, StateEntry};
 
 /// The scripted fault a [`Chaos`] wrapper injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,42 +103,19 @@ impl Chaos {
     }
 }
 
-impl Operator for Chaos {
+impl dsms_engine::Wrapper for Chaos {
+    type Inner = dyn Operator;
+
+    fn inner(&self) -> &Self::Inner {
+        &*self.inner
+    }
+
+    fn inner_mut(&mut self) -> &mut Self::Inner {
+        &mut *self.inner
+    }
+
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn inputs(&self) -> usize {
-        self.inner.inputs()
-    }
-
-    fn outputs(&self) -> usize {
-        self.inner.outputs()
-    }
-
-    fn must_connect_all_outputs(&self) -> bool {
-        self.inner.must_connect_all_outputs()
-    }
-
-    fn feedback_roles(&self) -> FeedbackRoles {
-        self.inner.feedback_roles()
-    }
-
-    fn schema_in(&self, input: usize) -> Option<SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<SchemaRef> {
-        self.inner.schema_out(output)
-    }
-
-    fn on_tuple(
-        &mut self,
-        input: usize,
-        tuple: Tuple,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_tuple(input, tuple, ctx)
     }
 
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
@@ -185,57 +157,11 @@ impl Operator for Chaos {
         self.inner.on_page(input, page, ctx)
     }
 
-    fn on_punctuation(
-        &mut self,
-        input: usize,
-        punctuation: Punctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_punctuation(input, punctuation, ctx)
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_feedback(output, feedback, ctx)
-    }
-
-    fn on_request_results(&mut self, output: usize, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_request_results(output, ctx)
-    }
-
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
         // A stream that ends mid-stall still owes downstream the backlog.
         self.release_stalled(ctx)?;
         self.stall_remaining = 0;
         self.inner.on_flush(ctx)
-    }
-
-    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-        self.inner.poll_source(ctx)
-    }
-
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        self.inner.feedback_stats()
-    }
-
-    fn export_state(&mut self) -> Vec<StateEntry> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
-        self.inner.import_state(entries)
-    }
-
-    fn elastic_stats(&self) -> Option<dsms_engine::metrics::ElasticStats> {
-        self.inner.elastic_stats()
-    }
-
-    fn restartable(&self) -> bool {
-        self.inner.restartable()
     }
 
     fn checkpoint(&self) -> EngineResult<Vec<StateEntry>> {
@@ -273,10 +199,6 @@ impl Operator for Chaos {
         }
         self.inner.restore(entries.collect())
     }
-
-    fn absorb_shutdown(&mut self, output: usize, ctx: &mut OperatorContext) -> bool {
-        self.inner.absorb_shutdown(output, ctx)
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +206,7 @@ mod tests {
     use super::*;
     use crate::common::TuplePredicate;
     use crate::select::Select;
-    use dsms_types::{DataType, Field, Schema, TupleBuilder, Value};
+    use dsms_types::{DataType, Field, Schema, SchemaRef, TupleBuilder, Value};
     use std::sync::Arc;
 
     fn schema() -> SchemaRef {

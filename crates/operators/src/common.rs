@@ -1,6 +1,6 @@
 //! Shared helpers for operators.
 
-use dsms_engine::{EngineResult, Operator, OperatorContext, SourceState};
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page, StreamItem};
 use dsms_types::{Timestamp, Tuple};
 use std::time::{Duration, Instant};
 
@@ -164,9 +164,9 @@ impl MinWatermark {
 ///   scales with the number of replicas even on a single core — the
 ///   scenario the `partition_scaling` bench measures.
 ///
-/// The wrapper intentionally routes pages through the default per-item
-/// [`Operator::on_page`] unpacking so the cost is charged per tuple; an
-/// inner operator's batched `on_page` fast path is bypassed.
+/// The wrapper unpacks every page item by item so the cost is charged per
+/// tuple: an inner operator's batched [`Operator::on_page`] fast path is
+/// bypassed on purpose.
 pub struct Costed<O> {
     inner: O,
     cost: Duration,
@@ -184,11 +184,6 @@ impl<O: Operator> Costed<O> {
         Costed { inner, cost, blocking: true }
     }
 
-    /// The wrapped operator.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     fn charge(&self) {
         if self.blocking {
             if !self.cost.is_zero() {
@@ -200,33 +195,15 @@ impl<O: Operator> Costed<O> {
     }
 }
 
-impl<O: Operator> Operator for Costed<O> {
-    fn feedback_roles(&self) -> dsms_feedback::FeedbackRoles {
-        self.inner.feedback_roles()
+impl<O: Operator> dsms_engine::Wrapper for Costed<O> {
+    type Inner = O;
+
+    fn inner(&self) -> &O {
+        &self.inner
     }
 
-    fn schema_in(&self, input: usize) -> Option<dsms_types::SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<dsms_types::SchemaRef> {
-        self.inner.schema_out(output)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn inputs(&self) -> usize {
-        self.inner.inputs()
-    }
-
-    fn outputs(&self) -> usize {
-        self.inner.outputs()
-    }
-
-    fn must_connect_all_outputs(&self) -> bool {
-        self.inner.must_connect_all_outputs()
+    fn inner_mut(&mut self) -> &mut O {
+        &mut self.inner
     }
 
     fn on_tuple(
@@ -239,66 +216,14 @@ impl<O: Operator> Operator for Costed<O> {
         self.inner.on_tuple(input, tuple, ctx)
     }
 
-    fn on_punctuation(
-        &mut self,
-        input: usize,
-        punctuation: dsms_punctuation::Punctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_punctuation(input, punctuation, ctx)
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: dsms_feedback::FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_feedback(output, feedback, ctx)
-    }
-
-    fn on_request_results(&mut self, output: usize, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_request_results(output, ctx)
-    }
-
-    fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_flush(ctx)
-    }
-
-    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-        self.inner.poll_source(ctx)
-    }
-
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        self.inner.feedback_stats()
-    }
-
-    fn export_state(&mut self) -> Vec<dsms_engine::StateEntry> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, entries: Vec<dsms_engine::StateEntry>) -> EngineResult<()> {
-        self.inner.import_state(entries)
-    }
-
-    fn elastic_stats(&self) -> Option<dsms_engine::ElasticStats> {
-        self.inner.elastic_stats()
-    }
-
-    fn restartable(&self) -> bool {
-        self.inner.restartable()
-    }
-
-    fn checkpoint(&self) -> EngineResult<Vec<dsms_engine::StateEntry>> {
-        self.inner.checkpoint()
-    }
-
-    fn restore(&mut self, entries: Vec<dsms_engine::StateEntry>) -> EngineResult<()> {
-        self.inner.restore(entries)
-    }
-
-    fn absorb_shutdown(&mut self, output: usize, ctx: &mut OperatorContext) -> bool {
-        self.inner.absorb_shutdown(output, ctx)
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        for item in page {
+            match item {
+                StreamItem::Tuple(tuple) => Operator::on_tuple(self, input, tuple, ctx)?,
+                StreamItem::Punctuation(p) => self.inner.on_punctuation(input, p, ctx)?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -385,38 +310,30 @@ mod tests {
             }
             fn on_tuple(
                 &mut self,
-                _i: usize,
+                _: usize,
                 t: Tuple,
                 ctx: &mut OperatorContext,
             ) -> EngineResult<()> {
                 ctx.emit(0, t);
                 Ok(())
             }
+            fn on_page(&mut self, _: usize, _: Page, _: &mut OperatorContext) -> EngineResult<()> {
+                unreachable!("Costed charges per tuple, bypassing the batch path")
+            }
         }
 
         let schema = Schema::shared(&[("v", DataType::Int)]);
+        let tuple = StreamItem::Tuple(Tuple::new(schema, vec![Value::Int(1)]));
         let mut ctx = OperatorContext::new();
-        for costed in [
+        for mut costed in [
             Costed::spinning(Pass, Duration::from_micros(100)),
             Costed::blocking_io(Pass, Duration::from_micros(100)),
         ] {
-            let mut costed = costed;
-            assert_eq!(costed.name(), "pass");
-            assert_eq!(costed.inputs(), 1);
-            assert_eq!(costed.outputs(), 1);
-            assert!(!costed.must_connect_all_outputs());
-            assert!(costed.feedback_stats().is_none());
             let start = Instant::now();
-            costed.on_tuple(0, Tuple::new(schema.clone(), vec![Value::Int(1)]), &mut ctx).unwrap();
-            assert!(start.elapsed() >= Duration::from_micros(100), "cost charged");
-            assert_eq!(ctx.take_emitted().len(), 1, "tuple delegated to the inner operator");
-            costed.on_flush(&mut ctx).unwrap();
-            assert_eq!(
-                costed.poll_source(&mut ctx).unwrap(),
-                SourceState::NotASource,
-                "delegated default"
-            );
-            let _ = costed.inner();
+            let page = Page::from_items(vec![tuple.clone(), tuple.clone()]);
+            costed.on_page(0, page, &mut ctx).unwrap();
+            assert!(start.elapsed() >= Duration::from_micros(200), "cost charged per tuple");
+            assert_eq!(ctx.take_emitted().len(), 2, "tuples delegated to the inner operator");
         }
     }
 

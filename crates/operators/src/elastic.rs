@@ -36,10 +36,12 @@
 //! fixed-partition run produces — the property `tests/elastic_parity.rs`
 //! pins on both executors.
 
-use dsms_engine::{ElasticStats, EngineResult, Operator, OperatorContext, SourceState, StateEntry};
+use dsms_engine::{
+    ElasticStats, EngineResult, Operator, OperatorContext, Page, StateEntry, StreamItem,
+};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles};
 use dsms_punctuation::{Pattern, Punctuation, StageDirective};
-use dsms_types::{FixedHasher, Tuple, Value};
+use dsms_types::{FixedHasher, Value};
 use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,8 +209,8 @@ impl ElasticPolicy {
 /// behalf: [`Migrate`](StageDirective::Migrate) exports the inner operator's
 /// keyed state into the controller pool and acknowledges upstream;
 /// [`Commit`](StageDirective::Commit) reclaims and re-imports the keys that
-/// hash to this replica at the committed width.  Everything else is
-/// delegated untouched.
+/// hash to this replica at the committed width.  It adds the relayer role to
+/// the wrapped operator; everything else is delegated untouched.
 pub struct ElasticReplica<O> {
     inner: O,
     index: usize,
@@ -221,9 +223,10 @@ impl<O: Operator> ElasticReplica<O> {
         ElasticReplica { inner, index, controller }
     }
 
-    /// The wrapped replica.
-    pub fn inner(&self) -> &O {
-        &self.inner
+    /// The pattern feedback toward the shuffle carries: the replica's whole
+    /// input, or `fallback` when the replica declares no input schema.
+    fn upstream_pattern(&self, fallback: &Pattern) -> Pattern {
+        self.inner.schema_in(0).map(Pattern::all_wildcards).unwrap_or_else(|| fallback.clone())
     }
 
     fn handle_directive(
@@ -236,11 +239,7 @@ impl<O: Operator> ElasticReplica<O> {
             StageDirective::Migrate { epoch, .. } => {
                 let exported = self.inner.export_state();
                 self.controller.park(self.index, exported);
-                let pattern = self
-                    .inner
-                    .schema_in(0)
-                    .map(Pattern::all_wildcards)
-                    .unwrap_or_else(|| marker.pattern().clone());
+                let pattern = self.upstream_pattern(marker.pattern());
                 ctx.send_feedback(
                     0,
                     FeedbackPunctuation::desired(pattern, self.inner.name())
@@ -265,66 +264,33 @@ impl<O: Operator> ElasticReplica<O> {
     }
 }
 
-impl<O: Operator> Operator for ElasticReplica<O> {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl<O: Operator> dsms_engine::Wrapper for ElasticReplica<O> {
+    type Inner = O;
+
+    fn inner(&self) -> &O {
+        &self.inner
     }
 
-    fn inputs(&self) -> usize {
-        self.inner.inputs()
-    }
-
-    fn outputs(&self) -> usize {
-        self.inner.outputs()
-    }
-
-    fn must_connect_all_outputs(&self) -> bool {
-        self.inner.must_connect_all_outputs()
+    fn inner_mut(&mut self) -> &mut O {
+        &mut self.inner
     }
 
     fn feedback_roles(&self) -> FeedbackRoles {
         self.inner.feedback_roles().union(FeedbackRoles::relayer())
     }
 
-    fn schema_in(&self, input: usize) -> Option<dsms_types::SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<dsms_types::SchemaRef> {
-        self.inner.schema_out(output)
-    }
-
-    fn on_tuple(
-        &mut self,
-        input: usize,
-        tuple: Tuple,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_tuple(input, tuple, ctx)
-    }
-
-    fn on_page(
-        &mut self,
-        input: usize,
-        page: dsms_engine::Page,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
         // Migration markers must not reach the inner operator's batched
         // fast path (it would forward them blindly without exporting).
         // Pages carrying one are unpacked item by item; everything else
         // takes the inner fast path untouched.
-        let items: Vec<dsms_engine::StreamItem> = page.into_iter().collect();
-        let has_marker = items.iter().any(|item| match item {
-            dsms_engine::StreamItem::Punctuation(p) => p.stage_directive().is_some(),
-            dsms_engine::StreamItem::Tuple(_) => false,
-        });
-        if !has_marker {
-            return self.inner.on_page(input, dsms_engine::Page::from_items(items), ctx);
+        if !page.punctuations().any(|p| p.stage_directive().is_some()) {
+            return self.inner.on_page(input, page, ctx);
         }
-        for item in items {
+        for item in page {
             match item {
-                dsms_engine::StreamItem::Tuple(tuple) => self.inner.on_tuple(input, tuple, ctx)?,
-                dsms_engine::StreamItem::Punctuation(p) => self.on_punctuation(input, p, ctx)?,
+                StreamItem::Tuple(tuple) => self.inner.on_tuple(input, tuple, ctx)?,
+                StreamItem::Punctuation(p) => Operator::on_punctuation(self, input, p, ctx)?,
             }
         }
         Ok(())
@@ -352,39 +318,11 @@ impl<O: Operator> Operator for ElasticReplica<O> {
             // A stage directive from the merge is addressed to the shuffle;
             // relay it upstream without involving the inner operator (whose
             // schema the pattern may not match).
-            let pattern = self
-                .inner
-                .schema_in(0)
-                .map(Pattern::all_wildcards)
-                .unwrap_or_else(|| feedback.pattern().clone());
+            let pattern = self.upstream_pattern(feedback.pattern());
             ctx.send_feedback(0, feedback.relay(pattern, self.inner.name()));
             return Ok(());
         }
         self.inner.on_feedback(output, feedback, ctx)
-    }
-
-    fn on_request_results(&mut self, output: usize, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_request_results(output, ctx)
-    }
-
-    fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_flush(ctx)
-    }
-
-    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-        self.inner.poll_source(ctx)
-    }
-
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        self.inner.feedback_stats()
-    }
-
-    fn export_state(&mut self) -> Vec<StateEntry> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
-        self.inner.import_state(entries)
     }
 
     /// Never restartable, even over a restartable inner operator: migration
@@ -394,16 +332,12 @@ impl<O: Operator> Operator for ElasticReplica<O> {
     fn restartable(&self) -> bool {
         false
     }
-
-    fn absorb_shutdown(&mut self, output: usize, ctx: &mut OperatorContext) -> bool {
-        self.inner.absorb_shutdown(output, ctx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsms_types::{DataType, Schema, SchemaRef};
+    use dsms_types::{DataType, Schema, SchemaRef, Tuple};
 
     fn schema() -> SchemaRef {
         Schema::shared(&[("ts", DataType::Timestamp), ("key", DataType::Int)])
@@ -460,6 +394,54 @@ mod tests {
             let (_, migrated) = controller.reclaim(replica, 2);
             assert_eq!(migrated, 0, "cancelled resize moves nothing");
         }
+    }
+
+    /// Counts whole pages and per-item tuples separately.
+    #[derive(Default)]
+    struct Batching {
+        pages: usize,
+        tuples: usize,
+    }
+
+    impl Operator for Batching {
+        fn name(&self) -> &str {
+            "batching"
+        }
+        fn inputs(&self) -> usize {
+            1
+        }
+        fn on_tuple(&mut self, _: usize, _: Tuple, _: &mut OperatorContext) -> EngineResult<()> {
+            self.tuples += 1;
+            Ok(())
+        }
+        fn on_page(&mut self, _: usize, _: Page, _: &mut OperatorContext) -> EngineResult<()> {
+            self.pages += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replica_hands_marker_free_pages_to_the_inner_batch_path() {
+        let ts = dsms_types::Timestamp::from_secs(1);
+        let page = |middle| {
+            let tuple =
+                StreamItem::Tuple(Tuple::new(schema(), vec![Value::Timestamp(ts), Value::Int(1)]));
+            Page::from_items(vec![tuple.clone(), StreamItem::Punctuation(middle), tuple])
+        };
+        let mut replica = ElasticReplica::new(Batching::default(), 0, ElasticController::shared());
+        let mut ctx = OperatorContext::new();
+
+        let progress = Punctuation::progress(schema(), "ts", ts).unwrap();
+        Operator::on_page(&mut replica, 0, page(progress), &mut ctx).unwrap();
+        assert_eq!((replica.inner.pages, replica.inner.tuples), (1, 0), "page passed intact");
+
+        let marker =
+            Punctuation::directive(schema(), StageDirective::Migrate { epoch: 1, partitions: 2 });
+        Operator::on_page(&mut replica, 0, page(marker), &mut ctx).unwrap();
+        assert_eq!((replica.inner.pages, replica.inner.tuples), (1, 2), "marker page unpacked");
+        assert_eq!(ctx.take_emitted().len(), 1, "the marker is forwarded");
+        let ack = ctx.take_feedback().pop().and_then(|(_, f)| f.stage_directive());
+        assert_eq!(ack, Some(StageDirective::Ack { epoch: 1, replica: 0 }));
     }
 
     #[test]

@@ -115,8 +115,20 @@ pub trait StreamOps: Sized {
 
     /// Replicates a schema-preserving stage `partitions` ways behind a
     /// `{name}-shuffle` / `{name}-merge` pair hash-partitioned on the `key`
-    /// attributes (the fluent form of
-    /// [`PartitionedExt::partitioned`](crate::PartitionedExt::partitioned)).
+    /// attributes, calling `make` once per partition index (see
+    /// `docs/ARCHITECTURE.md` for how data, punctuation and feedback cross
+    /// the stage).
+    ///
+    /// The default [`Merge`] has no progress tracking, so it **absorbs**
+    /// embedded punctuation (forwarding one replica's punctuation would be
+    /// wrong — the others may still produce matching tuples).  That is fine
+    /// for the replicas themselves (the shuffle broadcasts punctuation to
+    /// them) and for finite streams, but if an operator *downstream of the
+    /// stage* relies on punctuation to make progress on an unbounded stream,
+    /// build the endpoints yourself and use
+    /// [`partitioned_stage`](StreamOps::partitioned_stage) with
+    /// [`Merge::with_progress_on`], which re-emits the minimum of the
+    /// per-replica watermarks.
     fn partitioned<O, F>(
         self,
         name: &str,
@@ -248,7 +260,14 @@ impl StreamOps for Stream {
         O: Operator + 'static,
         F: FnMut(usize) -> O,
     {
-        crate::partition::check_partition_count(name, partitions)?;
+        if partitions < 2 {
+            return Err(EngineError::InvalidPlan {
+                detail: format!(
+                    "partitioned stage `{name}` needs at least 2 partitions (got {partitions}); \
+                     use the operator directly for a single-replica plan"
+                ),
+            });
+        }
         let schema = self.schema().clone();
         let shuffle = Shuffle::new(format!("{name}-shuffle"), schema.clone(), key, partitions)?;
         let merge = Merge::new(format!("{name}-merge"), schema, partitions);
@@ -265,8 +284,18 @@ impl StreamOps for Stream {
         O: Operator + 'static,
         F: FnMut(usize) -> O,
     {
-        crate::partition::check_stage_endpoints(&shuffle, &merge)?;
         let partitions = shuffle.partitions();
+        if merge.inputs() != partitions {
+            return Err(EngineError::InvalidPlan {
+                detail: format!(
+                    "shuffle `{}` fans out to {partitions} partitions but merge `{}` collects {} \
+                     inputs — the replica counts must agree",
+                    shuffle.name(),
+                    merge.name(),
+                    merge.inputs()
+                ),
+            });
+        }
         let replica_output = merge.schema().clone();
         let partition_streams = self.apply_multi(shuffle)?;
         let mut replica_streams = Vec::with_capacity(partitions);
@@ -288,19 +317,12 @@ impl StreamOps for Stream {
         O: Operator + 'static,
         F: FnMut(usize) -> O,
     {
-        crate::partition::check_stage_endpoints(&shuffle, &merge)?;
         let controller = ElasticController::shared();
         let shuffle = shuffle.with_elastic(controller.clone(), initial);
         let merge = merge.with_elastic(controller.clone(), policy, initial);
-        let partitions = shuffle.partitions();
-        let replica_output = merge.schema().clone();
-        let partition_streams = self.apply_multi(shuffle)?;
-        let mut replica_streams = Vec::with_capacity(partitions);
-        for (partition, stream) in partition_streams.into_iter().enumerate() {
-            let replica = ElasticReplica::new(make(partition), partition, controller.clone());
-            replica_streams.push(stream.apply_as(replica, replica_output.clone())?);
-        }
-        Stream::merge(replica_streams, merge)
+        self.partitioned_stage(shuffle, merge, |partition| {
+            ElasticReplica::new(make(partition), partition, controller.clone())
+        })
     }
 
     fn sink_collect(self, name: impl Into<String>) -> EngineResult<SinkHandle> {
@@ -319,6 +341,7 @@ impl StreamOps for Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::route_values;
     use crate::source::VecSource;
     use dsms_engine::{PooledExecutor, StreamBuilder, SyncExecutor};
     use dsms_types::{DataType, Schema, SchemaRef, Timestamp, Tuple, Value};
@@ -408,21 +431,39 @@ mod tests {
 
     #[test]
     fn fluent_partitioned_stage_matches_partitions() {
-        let builder = StreamBuilder::new().with_page_capacity(4).with_queue_capacity(4);
-        let results = builder
-            .source(VecSource::new("sensors", readings(200)))
-            .unwrap()
-            .partitioned("stage", &["seg"], 4, |i| {
-                Select::new(format!("replica-{i}"), schema(), TuplePredicate::always())
-            })
-            .unwrap()
-            .sink_collect("out")
-            .unwrap();
-        let plan = builder.build().unwrap();
-        assert_eq!(plan.node_count(), 2 + 4 + 2, "source + shuffle + 4 replicas + merge + sink");
-        let report = SyncExecutor::run(plan).unwrap();
-        assert_eq!(results.lock().len(), 200);
-        assert_eq!(report.total_feedback_dropped(), 0);
+        for pooled in [false, true] {
+            let builder = StreamBuilder::new().with_page_capacity(4).with_queue_capacity(4);
+            let results = builder
+                .source(VecSource::new("sensors", readings(200)))
+                .unwrap()
+                .partitioned("stage", &["seg"], 4, |i| {
+                    // Drops every tuple whose key this replica does not own.
+                    let owns = TuplePredicate::new("owns seg", move |t| {
+                        route_values(&[Value::Int(t.int("seg").unwrap_or(-1))], 4) == i
+                    });
+                    Select::new(format!("replica-{i}"), schema(), owns)
+                })
+                .unwrap()
+                .sink_collect("out")
+                .unwrap();
+            let plan = builder.build().unwrap();
+            assert_eq!(
+                plan.node_count(),
+                2 + 4 + 2,
+                "source + shuffle + 4 replicas + merge + sink"
+            );
+            let report = if pooled {
+                PooledExecutor::run(plan).unwrap()
+            } else {
+                SyncExecutor::run(plan).unwrap()
+            };
+            assert_eq!(results.lock().len(), 200, "each key reaches its owner, pooled={pooled}");
+            assert_eq!(report.total_feedback_dropped(), 0);
+            let active = (0..4)
+                .filter(|i| report.operator(&format!("replica-{i}")).unwrap().tuples_in > 0)
+                .count();
+            assert!(active > 1, "partitioning must actually spread the stream");
+        }
     }
 
     #[test]

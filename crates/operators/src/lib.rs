@@ -28,15 +28,15 @@
 //! | [`merge::Merge`] | data-parallel fan-in | broadcasts consumer feedback to every replica; optionally *produces* disorder-bound feedback |
 //! | [`chaos::Chaos`] | — | deterministic fault-injection wrapper (panic / transient error / stall) for supervised-recovery tests |
 //!
-//! [`partition::PartitionedExt`] extends [`dsms_engine::QueryPlan`] with a
-//! `partitioned(…)` rewrite that replicates a stateful operator N ways behind
-//! a shuffle/merge pair, and [`common::Costed`] models expensive (CPU- or
-//! I/O-bound) operators for scaling experiments.
+//! [`common::Costed`] models expensive (CPU- or I/O-bound) operators for
+//! scaling experiments.
 //!
 //! [`fluent::StreamOps`] extends the engine's fluent [`dsms_engine::Stream`]
 //! with combinators that construct these operators from the schema the stream
 //! carries — the recommended way to compose plans (`QueryPlan` stays public
-//! as the low-level escape hatch the builder lowers into).
+//! as the low-level escape hatch the builder lowers into).  Its
+//! `partitioned(…)` replicates a stateful operator N ways behind a
+//! shuffle/merge pair.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +54,6 @@ pub mod impute;
 pub mod join;
 pub mod merge;
 pub mod pace;
-pub mod partition;
 pub mod prioritizer;
 pub mod project;
 pub mod quality_filter;
@@ -79,7 +78,6 @@ pub use impute::{ArchivalStore, Impute};
 pub use join::{JoinSide, SymmetricHashJoin};
 pub use merge::Merge;
 pub use pace::Pace;
-pub use partition::{PartitionedExt, PartitionedStage};
 pub use prioritizer::Prioritizer;
 pub use project::Project;
 pub use quality_filter::QualityFilter;

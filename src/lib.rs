@@ -87,9 +87,9 @@ pub mod prelude {
     pub use dsms_operators::{
         AggregateFunction, ArchivalStore, Chaos, CollectSink, Costed, Duplicate, ElasticController,
         ElasticPolicy, ElasticReplica, FanoutController, FaultSpec, GeneratorSource, ImpatientJoin,
-        Impute, Merge, OnDemandGate, Pace, PartitionedExt, PartitionedStage, Prioritizer, Project,
-        QualityFilter, Select, SharedFanout, Shuffle, Split, StreamOps, SymmetricHashJoin,
-        ThriftyJoin, TimedSink, TuplePredicate, Union, VecSource, WindowAggregate,
+        Impute, Merge, OnDemandGate, Pace, Prioritizer, Project, QualityFilter, Select,
+        SharedFanout, Shuffle, Split, StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink,
+        TuplePredicate, Union, VecSource, WindowAggregate,
     };
     pub use dsms_punctuation::{
         CompiledPattern, Pattern, PatternItem, Punctuation, PunctuationScheme,
@@ -211,8 +211,8 @@ mod tests {
         )
         .unwrap();
         let _ = ArchivalStore::synthetic(std::time::Duration::from_micros(1), 40.0);
-        let shuffle = Shuffle::new("shuffle", schema.clone(), &["v"], 2).unwrap();
-        let merge = Merge::new("merge", schema.clone(), 2);
+        let _ = Shuffle::new("shuffle", schema.clone(), &["v"], 2).unwrap();
+        let _ = Merge::new("merge", schema.clone(), 2);
         let _ = Costed::blocking_io(
             Select::new("costed", schema.clone(), TuplePredicate::always()),
             std::time::Duration::ZERO,
@@ -235,13 +235,6 @@ mod tests {
                 FeedbackPunctuation::assumed(Pattern::all_wildcards(schema.clone()), "x")
             )
             .is_none());
-        let mut partitioned_plan = QueryPlan::new();
-        let stage: PartitionedStage = partitioned_plan
-            .partitioned_stage(shuffle, merge, |i| {
-                Select::new(format!("replica-{i}"), schema.clone(), TuplePredicate::always())
-            })
-            .unwrap();
-        assert_eq!(stage.partitions(), 2);
         let state: SourceState = SourceState::Exhausted;
         assert!(matches!(state, SourceState::Exhausted));
         let item = StreamItem::Tuple(tuple);

@@ -135,9 +135,9 @@ fn source_digest_matches_pre_representation_change_value() {
     assert_eq!(digest_hash(&digest(&traffic_tuples())), SOURCE_DIGEST);
 }
 
-/// The hash-partitioned stage: fluent `partitioned_stage` against the
-/// `PartitionedExt` plan rewrite, digest-identical on both executors
-/// with no feedback dropped.
+/// The hash-partitioned stage: fluent `partitioned_stage` against the same
+/// shuffle → replicas → merge sandwich wired node by node, digest-identical
+/// on both executors with no feedback dropped.
 #[test]
 fn partitioned_stage_digests_match_hand_built_plans() {
     let partitions = 4;
@@ -149,12 +149,17 @@ fn partitioned_stage_digests_match_hand_built_plans() {
         let shuffle =
             Shuffle::new("stage-shuffle", traffic_schema(), &["detector"], partitions).unwrap();
         let merge = Merge::new("stage-merge", output_schema.clone(), partitions);
-        let stage =
-            plan.partitioned_stage(shuffle, merge, |i| make_aggregate(format!("AVG-{i}"))).unwrap();
+        let shuffle = plan.add(shuffle);
+        let merge = plan.add(merge);
+        for i in 0..partitions {
+            let replica = plan.add(make_aggregate(format!("AVG-{i}")));
+            plan.connect(shuffle, i, replica, 0).unwrap();
+            plan.connect(replica, 0, merge, i).unwrap();
+        }
         let (sink, hand_results) = CollectSink::new("sink");
         let sink = plan.add(sink);
-        plan.connect_simple(source, stage.input()).unwrap();
-        plan.connect_simple(stage.output(), sink).unwrap();
+        plan.connect_simple(source, shuffle).unwrap();
+        plan.connect_simple(merge, sink).unwrap();
         let hand_report = run(plan, exec);
         let hand = digest(&hand_results.lock());
 
