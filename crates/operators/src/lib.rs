@@ -54,6 +54,8 @@ pub mod impute;
 pub mod join;
 pub mod merge;
 pub mod pace;
+#[cfg(test)]
+mod partition;
 pub mod prioritizer;
 pub mod project;
 pub mod quality_filter;
