@@ -11,12 +11,26 @@
 //! * **demanded** feedback is recorded for the operator to act on once (e.g.
 //!   emit partial results) and then retired.
 //!
-//! The registry also implements *expiration*: when embedded punctuation
-//! arrives that subsumes a guard on every attribute the guard constrains, the
-//! guard can never suppress anything again and is dropped — this is exactly
-//! why the paper restricts supportable feedback to delimited attributes.
-//! Registration can optionally be *strict*, rejecting feedback that the
-//! stream's punctuation scheme cannot support.
+//! **Guard lifetime.**  A guard (an assumed or desired pattern) lives until an
+//! embedded punctuation on its stream subsumes it ([`Pattern::releases`]:
+//! same schema, and the punctuation's pattern covers the guard's on every
+//! attribute).  From then on every tuple the guard describes has been
+//! declared complete, so it can never match again and
+//! [`expire_with`](FeedbackRegistry::expire_with) drops it.  This holds with
+//! or without a [`PunctuationScheme`]; an operator calls `expire_with` with
+//! each punctuation on the side of the stream its guards apply to — input
+//! guards with the punctuation it receives, output guards with the
+//! punctuation it emits.  Feedback that arrives after the last punctuation
+//! seen already released it is counted as expired on arrival and never
+//! mounted.  A guard on an attribute no punctuation covers (`[segment = 3]`
+//! on a stream punctuated by time) is never released — exactly why the paper
+//! restricts supportable feedback to delimited attributes.
+//!
+//! The scheme decides only strictness and counting: with one attached,
+//! registration can be *strict*, rejecting feedback the stream's punctuation
+//! cannot support, or lenient, counting it as unexpirable.
+//!
+//! [`Pattern::releases`]: dsms_punctuation::Pattern::releases
 
 use crate::error::{FeedbackError, FeedbackResult};
 use crate::intent::{FeedbackIntent, FeedbackPunctuation};
@@ -75,6 +89,10 @@ pub struct FeedbackRegistry {
     /// Compiled priority index, parallel to `desired`.
     desired_compiled: Vec<CompiledPattern>,
     demanded: Vec<FeedbackPunctuation>,
+    /// The last punctuation folded in by [`expire_with`](Self::expire_with):
+    /// feedback arriving after it describes only completed tuples is never
+    /// mounted.
+    last_punctuation: Option<Punctuation>,
     stats: FeedbackStats,
 }
 
@@ -91,6 +109,7 @@ impl FeedbackRegistry {
             desired: Vec::new(),
             desired_compiled: Vec::new(),
             demanded: Vec::new(),
+            last_punctuation: None,
             stats: FeedbackStats::default(),
         }
     }
@@ -111,7 +130,7 @@ impl FeedbackRegistry {
     /// With `strict` set, [`register`](Self::register) rejects feedback whose
     /// pattern constrains undelimited attributes (it would accumulate state
     /// forever); without it, such feedback is accepted but counted in the
-    /// statistics as unexpirable.
+    /// statistics as unexpirable.  Expiry does not depend on the scheme.
     pub fn with_scheme(mut self, scheme: PunctuationScheme, strict: bool) -> Self {
         self.scheme = Some(scheme);
         self.strict = strict;
@@ -162,6 +181,9 @@ impl FeedbackRegistry {
     /// Registers newly received feedback.  Duplicate or subsumed assumed
     /// guards are coalesced: a new guard that is already implied by an active
     /// one is dropped, and active guards implied by the new one are replaced.
+    /// An assumed or desired pattern the last punctuation seen already
+    /// releases — feedback that arrives after the stream has moved past what
+    /// it describes — counts as expired on arrival and is not mounted.
     pub fn register(&mut self, feedback: FeedbackPunctuation) -> FeedbackResult<()> {
         if let (Some(scheme), true) = (&self.scheme, self.strict) {
             if !scheme.supports(feedback.pattern()) {
@@ -177,6 +199,12 @@ impl FeedbackRegistry {
             }
         }
         self.stats.received.record(feedback.intent());
+        if feedback.intent() != FeedbackIntent::Demanded
+            && self.last_punctuation.as_ref().is_some_and(|p| p.releases(feedback.pattern()))
+        {
+            self.stats.guards_expired += 1;
+            return Ok(());
+        }
         match feedback.intent() {
             FeedbackIntent::Assumed => {
                 if self.assumed.iter().any(|g| g.pattern().subsumes(feedback.pattern())) {
@@ -323,21 +351,26 @@ impl FeedbackRegistry {
         std::mem::take(&mut self.demanded)
     }
 
-    /// Folds an embedded punctuation into the registry, dropping every guard
-    /// that the punctuation releases (the punctuation subsumes the guard on
-    /// every attribute the guard constrains).  Returns the number of guards
-    /// expired.
+    /// Folds an embedded punctuation into the registry, dropping every
+    /// assumed guard and desired pattern the punctuation releases (see the
+    /// module docs).  Returns the number of guards expired; a registry
+    /// holding none returns without scanning.  A stage-directive marker
+    /// asserts nothing about the stream and releases nothing.
     pub fn expire_with(&mut self, punctuation: &Punctuation) -> usize {
-        let Some(scheme) = &self.scheme else {
+        if punctuation.stage_directive().is_some() {
+            // Not a progress assertion: it must not displace the last one.
             return 0;
-        };
+        }
+        self.last_punctuation = Some(punctuation.clone());
+        if self.assumed.is_empty() && self.desired.is_empty() {
+            return 0;
+        }
         let before = self.assumed.len() + self.desired.len();
-        let pattern = punctuation.pattern();
         retain_in_sync(&mut self.assumed, &mut self.assumed_compiled, |g| {
-            !scheme.releases(pattern, g.pattern())
+            !punctuation.releases(g.pattern())
         });
         retain_in_sync(&mut self.desired, &mut self.desired_compiled, |g| {
-            !scheme.releases(pattern, g.pattern())
+            !punctuation.releases(g.pattern())
         });
         let expired = before - (self.assumed.len() + self.desired.len());
         self.stats.guards_expired += expired as u64;
@@ -498,6 +531,99 @@ mod tests {
         // late with respect to embedded punctuation and will be handled by the
         // operator's own lateness logic instead).
         assert_eq!(reg.peek(&tuple(50, 1, 1.0)), GuardDecision::Pass);
+    }
+
+    /// `[timestamp ∈ [lo, hi], segment = seg]`: a guard scoped to one period.
+    fn scoped(lo: i64, hi: i64, seg: i64) -> Pattern {
+        Pattern::for_attributes(
+            schema(),
+            &[
+                (
+                    "timestamp",
+                    PatternItem::Between(
+                        Value::Timestamp(Timestamp::from_secs(lo)),
+                        Value::Timestamp(Timestamp::from_secs(hi)),
+                    ),
+                ),
+                ("segment", PatternItem::Eq(Value::Int(seg))),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn progress(ts: i64) -> Punctuation {
+        Punctuation::progress(schema(), "timestamp", Timestamp::from_secs(ts)).unwrap()
+    }
+
+    #[test]
+    fn guards_expire_without_a_scheme() {
+        let mut reg = FeedbackRegistry::new("AVG");
+        reg.register(FeedbackPunctuation::assumed(scoped(0, 59, 3), "display")).unwrap();
+        reg.register(FeedbackPunctuation::desired(scoped(0, 59, 4), "display")).unwrap();
+        // Undelimited: no progress punctuation ever covers `segment` alone.
+        reg.register(FeedbackPunctuation::assumed(segment(7), "display")).unwrap();
+        // Not caught up: its period ends after the punctuation.
+        reg.register(FeedbackPunctuation::assumed(scoped(60, 119, 3), "display")).unwrap();
+        assert_eq!(reg.predicate_state_size(), 4);
+
+        assert_eq!(reg.expire_with(&progress(59)), 2, "the assumed and the desired period-0 guard");
+        assert_eq!(reg.stats().guards_expired, 2);
+        assert_eq!(reg.active_desired(), 0);
+        assert_eq!(reg.active_assumed(), 2);
+        assert_eq!(reg.peek(&tuple(200, 7, 1.0)), GuardDecision::Suppress, "undelimited kept");
+        assert_eq!(reg.peek(&tuple(90, 3, 1.0)), GuardDecision::Suppress, "period 1 kept");
+
+        assert_eq!(reg.expire_with(&progress(118)), 0, "period 1 is not complete yet");
+        assert_eq!(reg.expire_with(&progress(119)), 1);
+        assert_eq!(reg.assumed_guards().len(), 1);
+        assert_eq!(reg.assumed_guards()[0].pattern(), &segment(7));
+        assert_eq!(reg.stats().guards_expired, 3);
+    }
+
+    #[test]
+    fn feedback_the_stream_has_moved_past_is_not_mounted() {
+        let mut reg = FeedbackRegistry::new("SOURCE");
+        assert_eq!(reg.expire_with(&progress(119)), 0);
+        reg.register(FeedbackPunctuation::assumed(scoped(0, 59, 3), "display")).unwrap();
+        reg.register(FeedbackPunctuation::assumed(scoped(120, 179, 3), "display")).unwrap();
+        reg.register(FeedbackPunctuation::demanded(scoped(0, 59, 3), "client")).unwrap();
+        assert_eq!(reg.active_assumed(), 1, "only the period still to come is mounted");
+        assert_eq!(reg.pending_demanded(), 1, "a demand is acted on regardless");
+        let stats = reg.stats();
+        assert_eq!(stats.received.total() - stats.coalesced - stats.guards_expired, 2);
+    }
+
+    #[test]
+    fn a_stage_directive_releases_nothing() {
+        use dsms_punctuation::StageDirective;
+        let mut reg = FeedbackRegistry::new("SHUFFLE");
+        reg.register(FeedbackPunctuation::assumed(segment(3), "sink")).unwrap();
+        let marker =
+            Punctuation::directive(schema(), StageDirective::Migrate { epoch: 1, partitions: 2 });
+        assert_eq!(reg.expire_with(&marker), 0, "an all-wildcard marker asserts nothing");
+        assert_eq!(reg.active_assumed(), 1);
+    }
+
+    #[test]
+    fn expiring_an_empty_registry_is_a_no_op() {
+        let mut reg = FeedbackRegistry::new("AVG");
+        assert_eq!(reg.expire_with(&progress(60)), 0);
+        assert_eq!(reg.stats().guards_expired, 0);
+    }
+
+    #[test]
+    fn a_strict_registry_expires_like_any_other() {
+        let mut reg = FeedbackRegistry::new("AVG").with_scheme(scheme(), true);
+        let fast = FeedbackPunctuation::assumed(
+            Pattern::for_attributes(schema(), &[("speed", PatternItem::Ge(Value::Float(50.0)))])
+                .unwrap(),
+            "JOIN",
+        );
+        assert!(reg.register(fast).is_err(), "strict rejection is unchanged");
+        reg.register(FeedbackPunctuation::assumed(scoped(0, 59, 3), "display")).unwrap();
+        assert_eq!(reg.expire_with(&progress(59)), 1);
+        assert_eq!(reg.stats().rejected_unsupportable, 1);
+        assert_eq!(reg.predicate_state_size(), 0);
     }
 
     #[test]

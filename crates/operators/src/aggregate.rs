@@ -24,10 +24,11 @@
 
 use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry};
 use dsms_feedback::{
-    characterize_aggregate, AggregateSpec, AttributeMapping, ExploitAction, FeedbackIntent,
-    FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, Monotonicity, PropagationRule,
+    characterize_aggregate, AggregateSpec, AttributeMapping, BatchGuardDecision, ExploitAction,
+    FeedbackIntent, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, GuardDecision,
+    Monotonicity, PropagationRule,
 };
-use dsms_punctuation::{CompiledPattern, Pattern, PatternItem, Punctuation, SummaryMatch};
+use dsms_punctuation::{Pattern, PatternItem, Punctuation};
 use dsms_types::{DataType, Schema, SchemaRef, StreamDuration, Timestamp, Tuple, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -195,16 +196,16 @@ pub struct WindowAggregate {
     feedback_mode: FeedbackMode,
     spec: AggregateSpec,
     state: BTreeMap<StateKey, Accumulator>,
-    /// Output guards (patterns over the output schema).
-    output_guards: Vec<Pattern>,
-    /// Input guards (patterns over the input schema).
-    input_guards: Vec<Pattern>,
-    /// The same input guards compiled for batch-level summary evaluation,
-    /// kept index-parallel with `input_guards`.
-    input_guards_compiled: Vec<CompiledPattern>,
-    /// Group keys suppressed by PurgeAndGuardMatchingGroups.
+    /// Guards over the input schema (Table 1's guard-input action), expired
+    /// by the punctuation the aggregate receives.
+    input_guards: FeedbackRegistry,
+    /// Guards over the output schema (the guard-output action), plus the
+    /// desired and demanded feedback received, expired by the punctuation
+    /// the aggregate emits.
+    output_guards: FeedbackRegistry,
+    /// Group keys suppressed by PurgeAndGuardMatchingGroups.  They describe
+    /// groups, not a span of stream time, so no punctuation releases them.
     guarded_groups: HashSet<Vec<Value>>,
-    registry: FeedbackRegistry,
     emitted_watermark: Option<Timestamp>,
 }
 
@@ -259,7 +260,8 @@ impl WindowAggregate {
         };
 
         Ok(WindowAggregate {
-            registry: FeedbackRegistry::new(name.clone()),
+            input_guards: FeedbackRegistry::new(name.clone()),
+            output_guards: FeedbackRegistry::new(name.clone()),
             name,
             input_schema,
             output_schema,
@@ -273,9 +275,6 @@ impl WindowAggregate {
             feedback_mode: FeedbackMode::ExploitAndPropagate,
             spec,
             state: BTreeMap::new(),
-            output_guards: Vec::new(),
-            input_guards: Vec::new(),
-            input_guards_compiled: Vec::new(),
             guarded_groups: HashSet::new(),
             emitted_watermark: None,
         })
@@ -305,12 +304,8 @@ impl WindowAggregate {
         Tuple::new(self.output_schema.clone(), values)
     }
 
-    fn output_guarded(&self, tuple: &Tuple) -> bool {
-        self.output_guards.iter().any(|p| p.matches(tuple))
-    }
-
-    fn input_guarded(&self, tuple: &Tuple, group: &[Value]) -> bool {
-        self.guarded_groups.contains(group) || self.input_guards.iter().any(|p| p.matches(tuple))
+    fn output_guarded(&mut self, tuple: &Tuple) -> bool {
+        self.output_guards.decide(tuple) == GuardDecision::Suppress
     }
 
     /// Folds one tuple into its `(window, group)` partial aggregate.  Guard
@@ -349,13 +344,11 @@ impl WindowAggregate {
         self.guarded_groups.iter().all(|g| g.first().is_some_and(|v| v < min || v > max))
     }
 
-    fn emit_window(&self, key: &StateKey, acc: &Accumulator, ctx: &mut OperatorContext) -> bool {
+    fn emit_window(&mut self, key: &StateKey, acc: &Accumulator, ctx: &mut OperatorContext) {
         let out = self.output_tuple(key, acc);
-        if self.output_guarded(&out) {
-            return false;
+        if !self.output_guarded(&out) {
+            ctx.emit(0, out);
         }
-        ctx.emit(0, out);
-        true
     }
 
     /// Closes every window whose end is at or before the watermark.
@@ -370,17 +363,13 @@ impl WindowAggregate {
             })
             .cloned()
             .collect();
-        let mut suppressed = 0u64;
         for key in closeable {
             if let Some(acc) = self.state.remove(&key) {
-                if !self.emit_window(&key, &acc, ctx) {
-                    suppressed += 1;
-                }
+                self.emit_window(&key, &acc, ctx);
             }
         }
-        self.registry.stats_mut().tuples_suppressed += suppressed;
         // Forward progress: everything up to the watermark is complete on the
-        // output's window attribute too.
+        // output's window attribute too, so the output guards it releases go.
         let should_emit = match self.emitted_watermark {
             None => true,
             Some(prev) => watermark > prev,
@@ -388,6 +377,7 @@ impl WindowAggregate {
         if should_emit {
             self.emitted_watermark = Some(watermark);
             if let Ok(p) = Punctuation::progress(self.output_schema.clone(), "window", watermark) {
+                self.output_guards.expire_with(&p);
                 ctx.emit_punctuation(0, p);
             }
         }
@@ -427,18 +417,22 @@ impl Operator for WindowAggregate {
     ) -> EngineResult<()> {
         let group: Vec<Value> =
             self.group_indices.iter().map(|i| tuple.values()[*i].clone()).collect();
-        if self.feedback_mode != FeedbackMode::Ignore && self.input_guarded(&tuple, &group) {
-            self.registry.stats_mut().tuples_suppressed += 1;
+        if self.guarded_groups.contains(&group) {
+            self.input_guards.stats_mut().tuples_suppressed += 1;
+            return Ok(());
+        }
+        if self.input_guards.decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
         self.accumulate(&tuple, group)
     }
 
     /// Columnar kernel: classifies the whole page against the input guards
-    /// (both pattern guards and purged-group guards) via column summaries.
-    /// A page the guards provably cover is suppressed wholesale; a page they
-    /// provably miss folds into the window state without any per-tuple guard
-    /// probe; anything inconclusive falls back to the exact per-tuple path.
+    /// via column summaries (`FeedbackRegistry::decide_batch`), once the
+    /// purged-group guards are proven to miss it.  A page the guards provably
+    /// cover is suppressed wholesale; a page they provably miss folds into
+    /// the window state without any per-tuple guard probe; anything
+    /// inconclusive falls back to the exact per-tuple path.
     ///
     /// ```
     /// use dsms_engine::{Operator, OperatorContext, Page, StreamItem};
@@ -490,52 +484,22 @@ impl Operator for WindowAggregate {
         page: dsms_engine::Page,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        let unguarded = self.feedback_mode == FeedbackMode::Ignore
-            || (self.input_guards.is_empty() && self.guarded_groups.is_empty());
-        if unguarded && page.tuple_count() > 0 {
-            // No guards mounted: fold the row lane directly, mirroring the
-            // registry's no-guard short-circuit (no batch counters).
-            for item in page {
-                match item {
-                    dsms_engine::StreamItem::Tuple(tuple) => {
-                        let group: Vec<Value> =
-                            self.group_indices.iter().map(|i| tuple.values()[*i].clone()).collect();
-                        self.accumulate(&tuple, group)?;
-                    }
-                    dsms_engine::StreamItem::Punctuation(punctuation) => {
-                        self.on_punctuation(input, punctuation, ctx)?
-                    }
-                }
-            }
-            return Ok(());
-        }
-        if !unguarded && page.tuple_count() > 0 {
-            let mut covered = false;
-            let mut every_guard_misses = true;
-            for guard in &self.input_guards_compiled {
-                match guard.matches_summaries(|c| page.column_summary(c)) {
-                    SummaryMatch::All => {
-                        covered = true;
-                        break;
-                    }
-                    SummaryMatch::None => {}
-                    SummaryMatch::Unknown => every_guard_misses = false,
-                }
-            }
-            if covered {
-                // Every row matches an input guard: suppress the data lane.
-                let stats = self.registry.stats_mut();
-                stats.tuples_suppressed += page.tuple_count() as u64;
-                stats.batches_summary_conclusive += 1;
+        // Purged-group guards are not in the registry; a page they may touch
+        // takes the per-tuple path.
+        let decision = if self.groups_provably_unguarded(&page) {
+            self.input_guards.decide_batch(page.tuple_count(), |c| page.column_summary(c))
+        } else {
+            BatchGuardDecision::Mixed
+        };
+        match decision {
+            BatchGuardDecision::SuppressAll => {
                 for item in page {
                     if let dsms_engine::StreamItem::Punctuation(punctuation) = item {
                         self.on_punctuation(input, punctuation, ctx)?;
                     }
                 }
-                return Ok(());
             }
-            if every_guard_misses && self.groups_provably_unguarded(&page) {
-                self.registry.stats_mut().batches_summary_conclusive += 1;
+            BatchGuardDecision::PassAll => {
                 for item in page {
                     match item {
                         dsms_engine::StreamItem::Tuple(tuple) => {
@@ -551,15 +515,17 @@ impl Operator for WindowAggregate {
                         }
                     }
                 }
-                return Ok(());
             }
-            self.registry.stats_mut().batches_summary_fallback += 1;
-        }
-        for item in page {
-            match item {
-                dsms_engine::StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                dsms_engine::StreamItem::Punctuation(punctuation) => {
-                    self.on_punctuation(input, punctuation, ctx)?
+            BatchGuardDecision::Mixed => {
+                for item in page {
+                    match item {
+                        dsms_engine::StreamItem::Tuple(tuple) => {
+                            self.on_tuple(input, tuple, ctx)?
+                        }
+                        dsms_engine::StreamItem::Punctuation(punctuation) => {
+                            self.on_punctuation(input, punctuation, ctx)?
+                        }
+                    }
                 }
             }
         }
@@ -592,8 +558,8 @@ impl Operator for WindowAggregate {
                 }
             }
         }
-        // Punctuation also expires feedback guards it subsumes.
-        self.registry.expire_with(&punctuation);
+        // Input guards this punctuation releases can never match again.
+        self.input_guards.expire_with(&punctuation);
         Ok(())
     }
 
@@ -603,10 +569,9 @@ impl Operator for WindowAggregate {
         feedback: FeedbackPunctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        if self.feedbackmode_is_ignore() {
+        if self.feedback_mode == FeedbackMode::Ignore {
             return Ok(());
         }
-        self.registry.stats_mut().received.record(feedback.intent());
         match feedback.intent() {
             FeedbackIntent::Assumed => self.exploit_assumed(&feedback, ctx)?,
             FeedbackIntent::Desired => {
@@ -614,19 +579,13 @@ impl Operator for WindowAggregate {
                 // desired groups as early as possible; we record the pattern so
                 // demanded/desired-aware consumers can be served first, but the
                 // aggregate's result set is unchanged.
-                let _ = self.registry.register(feedback);
+                let _ = self.output_guards.register(feedback);
             }
             FeedbackIntent::Demanded => {
                 // Emit partial results for matching groups right now.
-                let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-                for key in keys {
-                    if let Some(acc) = self.state.get(&key) {
-                        let out = self.output_tuple(&key, acc);
-                        if feedback.pattern().matches(&out) && !self.output_guarded(&out) {
-                            ctx.emit(0, out);
-                            self.registry.stats_mut().partial_results += 1;
-                        }
-                    }
+                let _ = self.output_guards.register(feedback);
+                for demand in self.output_guards.take_demanded() {
+                    self.emit_partials(Some(demand.pattern()), ctx);
                 }
             }
         }
@@ -640,16 +599,7 @@ impl Operator for WindowAggregate {
     ) -> EngineResult<()> {
         // Poll-based result production (paper Example 4): emit current partial
         // aggregates without purging state.
-        let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-        for key in keys {
-            if let Some(acc) = self.state.get(&key) {
-                let out = self.output_tuple(&key, acc);
-                if !self.output_guarded(&out) {
-                    ctx.emit(0, out);
-                    self.registry.stats_mut().partial_results += 1;
-                }
-            }
-        }
+        self.emit_partials(None, ctx);
         Ok(())
     }
 
@@ -690,8 +640,12 @@ impl Operator for WindowAggregate {
         Ok(())
     }
 
+    /// Both guard registries' counters, merged: every guard is mounted in
+    /// exactly one of them, so nothing is counted twice.
     fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        Some(self.registry.stats().clone())
+        let mut stats = self.input_guards.stats().clone();
+        stats.merge(self.output_guards.stats());
+        Some(stats)
     }
 
     fn restartable(&self) -> bool {
@@ -703,11 +657,9 @@ impl Operator for WindowAggregate {
             key: Vec::new(),
             payload: Box::new(AggregateSnapshot {
                 state: self.state.clone(),
-                output_guards: self.output_guards.clone(),
                 input_guards: self.input_guards.clone(),
-                input_guards_compiled: self.input_guards_compiled.clone(),
+                output_guards: self.output_guards.clone(),
                 guarded_groups: self.guarded_groups.clone(),
-                registry: self.registry.clone(),
                 emitted_watermark: self.emitted_watermark,
             }),
         }])
@@ -715,21 +667,17 @@ impl Operator for WindowAggregate {
 
     fn restore(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
         self.state = BTreeMap::new();
-        self.output_guards = Vec::new();
-        self.input_guards = Vec::new();
-        self.input_guards_compiled = Vec::new();
+        self.input_guards = FeedbackRegistry::new(self.name.clone());
+        self.output_guards = FeedbackRegistry::new(self.name.clone());
         self.guarded_groups = HashSet::new();
-        self.registry = FeedbackRegistry::new(self.name.clone());
         self.emitted_watermark = None;
         for entry in entries {
             match entry.payload.downcast::<AggregateSnapshot>() {
                 Ok(snapshot) => {
                     self.state = snapshot.state;
-                    self.output_guards = snapshot.output_guards;
                     self.input_guards = snapshot.input_guards;
-                    self.input_guards_compiled = snapshot.input_guards_compiled;
+                    self.output_guards = snapshot.output_guards;
                     self.guarded_groups = snapshot.guarded_groups;
-                    self.registry = snapshot.registry;
                     self.emitted_watermark = snapshot.emitted_watermark;
                 }
                 Err(_) => {
@@ -749,17 +697,26 @@ impl Operator for WindowAggregate {
 /// loses a window.
 struct AggregateSnapshot {
     state: BTreeMap<StateKey, Accumulator>,
-    output_guards: Vec<Pattern>,
-    input_guards: Vec<Pattern>,
-    input_guards_compiled: Vec<CompiledPattern>,
+    input_guards: FeedbackRegistry,
+    output_guards: FeedbackRegistry,
     guarded_groups: HashSet<Vec<Value>>,
-    registry: FeedbackRegistry,
     emitted_watermark: Option<Timestamp>,
 }
 
 impl WindowAggregate {
-    fn feedbackmode_is_ignore(&self) -> bool {
-        self.feedback_mode == FeedbackMode::Ignore
+    /// Emits the current partial aggregate of every open group matching
+    /// `pattern` (all of them for `None`), keeping the state and honouring
+    /// the output guards.
+    fn emit_partials(&mut self, pattern: Option<&Pattern>, ctx: &mut OperatorContext) {
+        let keys: Vec<StateKey> = self.state.keys().cloned().collect();
+        for key in keys {
+            let Some(acc) = self.state.get(&key) else { continue };
+            let out = self.output_tuple(&key, acc);
+            if pattern.is_none_or(|p| p.matches(&out)) && !self.output_guarded(&out) {
+                ctx.emit(0, out);
+                self.output_guards.stats_mut().partial_results += 1;
+            }
+        }
     }
 
     fn exploit_assumed(
@@ -770,53 +727,53 @@ impl WindowAggregate {
         // F1 restricts the response to mounting a guard on the aggregate's
         // output, regardless of what the full characterization would allow.
         if self.feedback_mode == FeedbackMode::GuardOutput {
-            self.output_guards.push(feedback.pattern().clone());
-            let _ = self.registry.register(feedback.clone());
+            let _ = self.output_guards.register(feedback.clone());
             return Ok(());
         }
         let characterization = characterize_aggregate(&self.spec, feedback.pattern())?;
-        let guard_output_only = false;
+        if characterization.actions.is_empty() {
+            // Null response: nothing is mounted, but the message arrived.
+            self.output_guards.stats_mut().received.record(feedback.intent());
+        }
+        // A guard is the received feedback rewritten for the side it
+        // guards; relaying keeps its id, so lineage stays traceable.
         for action in &characterization.actions {
             match action {
-                ExploitAction::GuardOutput(pattern) => self.output_guards.push(pattern.clone()),
+                ExploitAction::GuardOutput(pattern) => {
+                    let _ =
+                        self.output_guards.register(feedback.relay(pattern.clone(), &self.name));
+                }
                 ExploitAction::GuardInput { pattern, .. } => {
-                    if !guard_output_only {
-                        self.input_guards_compiled.push(pattern.compile());
-                        self.input_guards.push(pattern.clone());
-                    }
+                    let _ = self.input_guards.register(feedback.relay(pattern.clone(), &self.name));
                 }
                 ExploitAction::PurgeState(pattern) => {
-                    if !guard_output_only {
-                        let before = self.state.len();
-                        let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-                        for key in keys {
-                            if let Some(acc) = self.state.get(&key) {
-                                let out = self.output_tuple(&key, acc);
-                                if pattern.matches(&out) {
-                                    self.state.remove(&key);
-                                }
+                    let before = self.state.len();
+                    let keys: Vec<StateKey> = self.state.keys().cloned().collect();
+                    for key in keys {
+                        if let Some(acc) = self.state.get(&key) {
+                            let out = self.output_tuple(&key, acc);
+                            if pattern.matches(&out) {
+                                self.state.remove(&key);
                             }
                         }
-                        self.registry.stats_mut().state_purged +=
-                            (before - self.state.len()) as u64;
                     }
+                    self.input_guards.stats_mut().state_purged +=
+                        (before - self.state.len()) as u64;
                 }
                 ExploitAction::PurgeAndGuardMatchingGroups => {
-                    if !guard_output_only {
-                        let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-                        let mut purged = 0u64;
-                        for key in keys {
-                            if let Some(acc) = self.state.get(&key) {
-                                let out = self.output_tuple(&key, acc);
-                                if feedback.pattern().matches(&out) {
-                                    self.guarded_groups.insert(key.1.clone());
-                                    self.state.remove(&key);
-                                    purged += 1;
-                                }
+                    let keys: Vec<StateKey> = self.state.keys().cloned().collect();
+                    let mut purged = 0u64;
+                    for key in keys {
+                        if let Some(acc) = self.state.get(&key) {
+                            let out = self.output_tuple(&key, acc);
+                            if feedback.pattern().matches(&out) {
+                                self.guarded_groups.insert(key.1.clone());
+                                self.state.remove(&key);
+                                purged += 1;
                             }
                         }
-                        self.registry.stats_mut().state_purged += purged;
                     }
+                    self.input_guards.stats_mut().state_purged += purged;
                 }
             }
         }
@@ -826,7 +783,7 @@ impl WindowAggregate {
                 PropagationRule::ToInputs(targets) => {
                     for (input, pattern) in targets {
                         ctx.send_feedback(*input, feedback.relay(pattern.clone(), &self.name));
-                        self.registry.stats_mut().relayed.record(feedback.intent());
+                        self.input_guards.stats_mut().relayed.record(feedback.intent());
                     }
                 }
                 PropagationRule::GroupsFromState => {
@@ -840,13 +797,12 @@ impl WindowAggregate {
                             &[(self.group_attributes[0].as_str(), PatternItem::InSet(keys))],
                         )?;
                         ctx.send_feedback(0, feedback.relay(pattern, &self.name));
-                        self.registry.stats_mut().relayed.record(feedback.intent());
+                        self.input_guards.stats_mut().relayed.record(feedback.intent());
                     }
                 }
                 PropagationRule::None => {}
             }
         }
-        let _ = self.registry.register(feedback.clone());
         Ok(())
     }
 }
@@ -1195,6 +1151,51 @@ mod tests {
         let mut op = avg_per_segment();
         let entry = StateEntry { key: vec![Value::Int(1)], payload: Box::new("not a partial") };
         assert!(op.import_state(vec![entry]).is_err());
+    }
+
+    #[test]
+    fn guards_expire_with_received_and_emitted_punctuation() {
+        let mut op = avg_per_segment();
+        let mut ctx = OperatorContext::new();
+        let first_minute = PatternItem::Between(
+            Value::Timestamp(Timestamp::from_secs(0)),
+            Value::Timestamp(Timestamp::from_secs(59)),
+        );
+        let assumed = |constraints: &[(&str, PatternItem)]| {
+            FeedbackPunctuation::assumed(
+                Pattern::for_attributes(op.output_schema().clone(), constraints).unwrap(),
+                "MAP",
+            )
+        };
+        // Group feedback becomes an input guard, value feedback on AVG an
+        // output guard; both are scoped to the first window.
+        let on_group = assumed(&[
+            ("window", first_minute.clone()),
+            ("segment", PatternItem::Eq(Value::Int(3))),
+        ]);
+        let on_value =
+            assumed(&[("window", first_minute), ("avg", PatternItem::Ge(Value::Float(50.0)))]);
+        op.on_feedback(0, on_group, &mut ctx).unwrap();
+        op.on_feedback(0, on_value, &mut ctx).unwrap();
+        ctx.take_feedback();
+        op.on_tuple(0, tuple(10, 3, 40.0), &mut ctx).unwrap();
+        op.on_tuple(0, tuple(10, 1, 60.0), &mut ctx).unwrap();
+        op.on_tuple(0, tuple(10, 2, 20.0), &mut ctx).unwrap();
+        assert_eq!(op.open_groups(), 2, "segment 3 guarded on the input");
+        // A restored copy carries both registries and behaves the same.
+        let mut restored = avg_per_segment();
+        restored.restore(op.checkpoint().unwrap()).unwrap();
+
+        for op in [&mut op, &mut restored] {
+            op.on_punctuation(0, progress(60), &mut ctx).unwrap();
+            let out = emitted_tuples(&mut ctx);
+            assert_eq!(out.len(), 1, "segment 1 (avg 60) guarded on the output");
+            assert_eq!(out[0].int("segment").unwrap(), 2);
+            let stats = op.feedback_stats().unwrap();
+            assert_eq!(stats.received.assumed, 2, "one receipt per mounted guard");
+            assert_eq!(stats.tuples_suppressed, 2);
+            assert_eq!(stats.guards_expired, 2, "the input and the output guard");
+        }
     }
 
     #[test]

@@ -123,6 +123,7 @@ impl Operator for OnDemandGate {
     ) -> EngineResult<()> {
         // Punctuation still flows so downstream progress tracking works even
         // while results are withheld.
+        self.registry.expire_with(&punctuation);
         ctx.emit_punctuation(0, punctuation);
         Ok(())
     }

@@ -135,6 +135,12 @@ impl Operator for Duplicate {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
+        self.registry.expire_with(&punctuation);
+        // A vote for a subset the punctuation completed could only ever
+        // mount a guard that matches nothing.
+        for votes in &mut self.assumed_per_output {
+            votes.retain(|p| !punctuation.releases(p));
+        }
         for port in 0..self.outputs - 1 {
             ctx.emit_punctuation(port, punctuation.clone());
         }

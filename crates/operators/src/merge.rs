@@ -224,10 +224,9 @@ impl Merge {
                 // Dropping the slowest (now dormant) input may advance the
                 // combined watermark immediately.
                 if let (Some(attr), Some(combined)) = (&self.progress_attribute, released) {
-                    ctx.emit_punctuation(
-                        0,
-                        Punctuation::progress(self.schema.clone(), attr, combined)?,
-                    );
+                    let combined = Punctuation::progress(self.schema.clone(), attr, combined)?;
+                    self.registry.expire_with(&combined);
+                    ctx.emit_punctuation(0, combined);
                 }
             }
         }
@@ -317,10 +316,10 @@ impl Operator for Merge {
         if let Some(attr) = &self.progress_attribute {
             if let Some(w) = punctuation.watermark_for(attr) {
                 if let Some(combined) = self.progress.observe(input, w) {
-                    ctx.emit_punctuation(
-                        0,
-                        Punctuation::progress(self.schema.clone(), attr, combined)?,
-                    );
+                    // Only the combined punctuation covers every replica.
+                    let combined = Punctuation::progress(self.schema.clone(), attr, combined)?;
+                    self.registry.expire_with(&combined);
+                    ctx.emit_punctuation(0, combined);
                 }
             }
         }

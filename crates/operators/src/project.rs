@@ -183,11 +183,15 @@ impl Operator for Project {
     ) -> EngineResult<()> {
         // Project the punctuation pattern onto the output schema; attributes
         // projected away simply disappear from the pattern (the punctuation
-        // still correctly describes a completed subset of the output).
+        // still correctly describes a completed subset of the output).  The
+        // guards are over the output schema, so the projected punctuation is
+        // the one that can release them.
         let mapping: Vec<Option<usize>> = self.indices.iter().map(|i| Some(*i)).collect();
         let pattern = punctuation.pattern().remap(self.output_schema.clone(), &mapping)?;
         if !pattern.is_unconstrained() {
-            ctx.emit_punctuation(0, Punctuation::new(pattern));
+            let projected = Punctuation::new(pattern);
+            self.registry.expire_with(&projected);
+            ctx.emit_punctuation(0, projected);
         }
         Ok(())
     }
@@ -269,6 +273,30 @@ mod tests {
         let t = out[0].1.as_tuple().unwrap();
         assert_eq!(t.arity(), 2);
         assert_eq!(t.int("segment").unwrap(), 3);
+    }
+
+    #[test]
+    fn projected_punctuation_expires_output_guards() {
+        let mut op = Project::new("proj", schema(), &["segment", "speed"]).unwrap();
+        let mut ctx = OperatorContext::new();
+        let guard = |seg| {
+            let pattern = Pattern::for_attributes(
+                op.output_schema().clone(),
+                &[("segment", PatternItem::Eq(Value::Int(seg)))],
+            )
+            .unwrap();
+            FeedbackPunctuation::assumed(pattern, "sink")
+        };
+        let (segment_4, segment_5) = (guard(4), guard(5));
+        op.on_feedback(0, segment_4, &mut ctx).unwrap();
+        op.on_feedback(0, segment_5, &mut ctx).unwrap();
+        // The guards are over the output schema: the input punctuation
+        // releases segment 4 only once projected onto it.
+        let p = Punctuation::group_complete(schema(), "segment", Value::Int(4)).unwrap();
+        op.on_punctuation(0, p, &mut ctx).unwrap();
+        assert_eq!(op.feedback_stats().unwrap().guards_expired, 1);
+        op.on_tuple(0, tuple(5, 50.0), &mut ctx).unwrap();
+        assert_eq!(op.feedback_stats().unwrap().tuples_suppressed, 1, "segment 5 still guarded");
     }
 
     #[test]

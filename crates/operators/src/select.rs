@@ -15,6 +15,7 @@ use dsms_feedback::{
     characterize_select, BatchGuardDecision, FeedbackIntent, FeedbackPunctuation, FeedbackRegistry,
     FeedbackRoles, GuardDecision,
 };
+use dsms_punctuation::Punctuation;
 use dsms_types::{SchemaRef, Tuple};
 
 /// A stateless selection with a feedback-extensible condition.
@@ -165,6 +166,18 @@ impl Operator for Select {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Forwards the punctuation, first dropping the guards it releases.
+    fn on_punctuation(
+        &mut self,
+        _input: usize,
+        punctuation: Punctuation,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
+        self.registry.expire_with(&punctuation);
+        ctx.emit_punctuation(0, punctuation);
         Ok(())
     }
 

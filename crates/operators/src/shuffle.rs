@@ -436,6 +436,7 @@ impl Operator for Shuffle {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
+        self.registry.expire_with(&punctuation);
         if let Some(elastic) = &self.elastic {
             // Elastic mode fans punctuation out per active port: a dormant
             // replica receives no assertions, so the merge's membership-aware

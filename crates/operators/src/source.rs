@@ -62,9 +62,9 @@ impl VecSource {
     }
 
     /// Enables progress punctuation on `attribute` every `period` of stream
-    /// time.  Tuples are assumed to be timestamp-ordered on that attribute
-    /// (the punctuation asserts completeness of everything at or before the
-    /// previous period boundary).
+    /// time.  Tuples must be timestamp-ordered on that attribute: the
+    /// punctuation asserts completeness of everything before the period
+    /// boundary, and the source drops every feedback guard it releases.
     pub fn with_punctuation(
         mut self,
         attribute: impl Into<String>,
@@ -117,6 +117,7 @@ impl VecSource {
             let watermark = boundary - StreamDuration::from_millis(1);
             if watermark >= Timestamp::EPOCH || self.last_punctuated.is_none() {
                 let p = Punctuation::progress(tuple.schema().clone(), attr, watermark)?;
+                self.registry.expire_with(&p);
                 ctx.emit_punctuation(0, p);
                 self.last_punctuated = Some(boundary);
             }
@@ -159,8 +160,8 @@ impl Operator for VecSource {
         _ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         // Lenient registration: the source does not know the downstream
-        // punctuation scheme; guards naturally stop mattering once the stream
-        // moves past them.
+        // punctuation scheme; a guard its own progress punctuation releases
+        // is dropped when that punctuation is emitted.
         let _ = self.registry.register(feedback);
         Ok(())
     }
@@ -349,7 +350,9 @@ impl GeneratorSource {
         }
     }
 
-    /// Enables progress punctuation on `attribute` every `period`.
+    /// Enables progress punctuation on `attribute` every `period`; as for
+    /// [`VecSource::with_punctuation`], the generated tuples must be
+    /// timestamp-ordered on it.
     pub fn with_punctuation(
         mut self,
         attribute: impl Into<String>,
@@ -461,6 +464,7 @@ impl Operator for GeneratorSource {
                             let attr = self.timestamp_attribute.as_deref().expect("checked above");
                             let watermark = boundary - StreamDuration::from_millis(1);
                             let p = Punctuation::progress(tuple.schema().clone(), attr, watermark)?;
+                            self.registry.expire_with(&p);
                             ctx.emit_punctuation(0, p);
                             self.last_punctuated = Some(boundary);
                         }
@@ -600,6 +604,49 @@ mod tests {
         let (tuples, punctuations) = drain(&mut gen_src);
         assert_eq!(tuples, data);
         assert!(punctuations > 0);
+    }
+
+    #[test]
+    fn progress_punctuation_expires_the_guards_it_releases() {
+        let data: Vec<Tuple> = (0..240).map(|i| tuple(i, i % 3)).collect();
+        let first_minute_of_segment_1 = Pattern::for_attributes(
+            schema(),
+            &[
+                (
+                    "timestamp",
+                    PatternItem::Between(
+                        Value::Timestamp(Timestamp::from_secs(0)),
+                        Value::Timestamp(Timestamp::from_secs(59)),
+                    ),
+                ),
+                ("segment", PatternItem::Eq(Value::Int(1))),
+            ],
+        )
+        .unwrap();
+        let segment_2 =
+            Pattern::for_attributes(schema(), &[("segment", PatternItem::Eq(Value::Int(2)))])
+                .unwrap();
+        let period = StreamDuration::from_secs(60);
+        let sources: [Box<dyn Operator>; 2] = [
+            Box::new(VecSource::new("vec", data.clone()).with_punctuation("timestamp", period)),
+            Box::new(
+                GeneratorSource::new("gen", data.clone().into_iter())
+                    .with_punctuation("timestamp", period),
+            ),
+        ];
+        for mut source in sources {
+            let mut ctx = OperatorContext::new();
+            for pattern in [&first_minute_of_segment_1, &segment_2] {
+                let guard = FeedbackPunctuation::assumed(pattern.clone(), "sink");
+                source.on_feedback(0, guard, &mut ctx).unwrap();
+            }
+            let (tuples, _) = drain(source.as_mut());
+            let kept = |t: &Tuple| !first_minute_of_segment_1.matches(t) && !segment_2.matches(t);
+            let expected: Vec<Tuple> = data.iter().filter(|t| kept(t)).cloned().collect();
+            assert_eq!(tuples, expected, "{}: expiry changes no decision", source.name());
+            let stats = source.feedback_stats().unwrap();
+            assert_eq!(stats.guards_expired, 1, "{}: the scoped guard, once", source.name());
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 
 use crate::common::TuplePredicate;
 use dsms_engine::{EngineResult, Operator, OperatorContext};
-use dsms_feedback::{FeedbackIntent, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles};
-use dsms_punctuation::{Pattern, Punctuation};
+use dsms_feedback::{
+    FeedbackIntent, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, FeedbackStats,
+    GuardDecision,
+};
+use dsms_punctuation::Punctuation;
 use dsms_types::{SchemaRef, Tuple};
 
 /// Routes tuples matching a condition to output 0 and the rest to output 1.
@@ -18,11 +21,14 @@ pub struct Split {
     name: String,
     schema: SchemaRef,
     condition: TuplePredicate,
-    /// Assumed patterns received per output; a tuple routed to an output whose
-    /// feedback describes it can be dropped (the consumer has assumed it away),
-    /// which is stronger than DUPLICATE because the outputs are disjoint.
-    assumed_per_output: Vec<Vec<Pattern>>,
-    registry: FeedbackRegistry,
+    /// Guards per output, from the assumed feedback of that output's
+    /// consumer; a tuple routed to an output whose feedback describes it can
+    /// be dropped (the consumer has assumed it away), which is stronger than
+    /// DUPLICATE because the outputs are disjoint.
+    guards: [FeedbackRegistry; 2],
+    /// Counters not attributable to one output (relays, non-assumed
+    /// receipts).
+    stats: FeedbackStats,
 }
 
 impl Split {
@@ -30,21 +36,17 @@ impl Split {
     pub fn new(name: impl Into<String>, schema: SchemaRef, condition: TuplePredicate) -> Self {
         let name = name.into();
         Split {
-            registry: FeedbackRegistry::new(name.clone()),
+            guards: [FeedbackRegistry::scoped(name.clone(), 0), FeedbackRegistry::scoped(&name, 1)],
             name,
             schema,
             condition,
-            assumed_per_output: vec![Vec::new(), Vec::new()],
+            stats: FeedbackStats::default(),
         }
     }
 
     /// The stream schema (identical on the input and both outputs).
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
-    }
-
-    fn suppressed(&self, output: usize, tuple: &Tuple) -> bool {
-        self.assumed_per_output[output].iter().any(|p| p.matches(tuple))
     }
 }
 
@@ -80,8 +82,7 @@ impl Operator for Split {
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         let output = if self.condition.eval(&tuple) { 0 } else { 1 };
-        if self.suppressed(output, &tuple) {
-            self.registry.stats_mut().tuples_suppressed += 1;
+        if self.guards[output].decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
         ctx.emit(output, tuple);
@@ -94,6 +95,9 @@ impl Operator for Split {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
+        for guards in &mut self.guards {
+            guards.expire_with(&punctuation);
+        }
         ctx.emit_punctuation(0, punctuation.clone());
         ctx.emit_punctuation(1, punctuation);
         Ok(())
@@ -105,13 +109,14 @@ impl Operator for Split {
         feedback: FeedbackPunctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        self.registry.stats_mut().received.record(feedback.intent());
+        let Some(guards) = self.guards.get_mut(output) else {
+            return Ok(());
+        };
         if feedback.intent() != FeedbackIntent::Assumed {
+            self.stats.received.record(feedback.intent());
             return Ok(());
         }
-        if let Some(patterns) = self.assumed_per_output.get_mut(output) {
-            patterns.push(feedback.pattern().clone());
-        }
+        let _ = guards.register(feedback.clone());
         // Unlike DUPLICATE, the split's outputs partition the input, so the
         // subset assumed away by one output is only producible on that output;
         // exploitation (dropping it before routing) is correct immediately.
@@ -122,26 +127,29 @@ impl Operator for Split {
         // condition; we conservatively propagate only when both outputs have
         // assumed the same subset (mirroring DUPLICATE) to avoid encoding the
         // routing predicate as a pattern.
-        let on_both = self
-            .assumed_per_output
-            .iter()
-            .all(|patterns| patterns.iter().any(|p| p.subsumes(feedback.pattern())));
+        let on_both = self.guards.iter().all(|guards| {
+            guards.assumed_guards().iter().any(|g| g.pattern().subsumes(feedback.pattern()))
+        });
         if on_both {
             ctx.send_feedback(0, feedback.relay(feedback.pattern().clone(), &self.name));
-            self.registry.stats_mut().relayed.record(feedback.intent());
+            self.stats.relayed.record(feedback.intent());
         }
         Ok(())
     }
 
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        Some(self.registry.stats().clone())
+    fn feedback_stats(&self) -> Option<FeedbackStats> {
+        let mut stats = self.stats.clone();
+        for guards in &self.guards {
+            stats.merge(guards.stats());
+        }
+        Some(stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsms_punctuation::PatternItem;
+    use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, Timestamp, Value};
 
     fn schema() -> SchemaRef {
@@ -209,6 +217,27 @@ mod tests {
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].0, 1);
         assert_eq!(op.feedback_stats().unwrap().tuples_suppressed, 1);
+    }
+
+    #[test]
+    fn punctuation_expires_each_outputs_guards() {
+        let mut op = needs_imputation();
+        let mut ctx = OperatorContext::new();
+        let before_100 = Pattern::for_attributes(
+            schema(),
+            &[("timestamp", PatternItem::Lt(Value::Timestamp(Timestamp::from_secs(100))))],
+        )
+        .unwrap();
+        op.on_feedback(0, FeedbackPunctuation::assumed(before_100, "IMPUTE"), &mut ctx).unwrap();
+        let progress =
+            |secs| Punctuation::progress(schema(), "timestamp", Timestamp::from_secs(secs));
+        op.on_punctuation(0, progress(99).unwrap(), &mut ctx).unwrap();
+        op.on_tuple(0, dirty_tuple(99), &mut ctx).unwrap();
+        assert_eq!(op.feedback_stats().unwrap().tuples_suppressed, 1, "not caught up yet");
+        op.on_punctuation(0, progress(100).unwrap(), &mut ctx).unwrap();
+        let stats = op.feedback_stats().unwrap();
+        assert_eq!(stats.guards_expired, 1);
+        assert_eq!(stats.received.assumed, 1);
     }
 
     #[test]

@@ -137,10 +137,12 @@ impl Operator for Union {
         };
         if let Some(w) = punctuation.watermark_for(attr) {
             if let Some(combined) = self.progress.observe(input, w) {
-                ctx.emit_punctuation(
-                    0,
-                    Punctuation::progress(self.schema.clone(), attr, combined)?,
-                );
+                // One input's progress says nothing of the others, and the
+                // guards apply to all of them: only the combined punctuation
+                // may release a guard.
+                let combined = Punctuation::progress(self.schema.clone(), attr, combined)?;
+                self.registry.expire_with(&combined);
+                ctx.emit_punctuation(0, combined);
             }
         }
         Ok(())
@@ -276,6 +278,26 @@ mod tests {
             }
             other => panic!("expected combined punctuation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn only_the_combined_punctuation_expires_guards() {
+        let mut op = Union::new("union", schema(), 2).with_progress_on("timestamp");
+        let mut ctx = OperatorContext::new();
+        let before_60 = Pattern::for_attributes(
+            schema(),
+            &[("timestamp", PatternItem::Lt(Value::Timestamp(Timestamp::from_secs(60))))],
+        )
+        .unwrap();
+        op.on_feedback(0, FeedbackPunctuation::assumed(before_60, "sink"), &mut ctx).unwrap();
+        // Input 0 is complete up to 100 s, input 1 is not: its rows before
+        // 60 s must still be suppressed.
+        op.on_punctuation(0, progress(100), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(30, 1), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty());
+        assert_eq!(op.feedback_stats().unwrap().guards_expired, 0);
+        op.on_punctuation(1, progress(60), &mut ctx).unwrap();
+        assert_eq!(op.feedback_stats().unwrap().guards_expired, 1);
     }
 
     #[test]

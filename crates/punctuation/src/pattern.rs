@@ -416,6 +416,20 @@ impl Pattern {
             && self.items.iter().zip(&other.items).all(|(a, b)| a.subsumes(b))
     }
 
+    /// True when this pattern, carried by an embedded punctuation, *releases*
+    /// the feedback guard `guard`: both are over the same schema and this
+    /// pattern subsumes the guard, so every tuple the guard could still
+    /// suppress has been declared complete and the guard may be dropped
+    /// (paper Section 4.4).  Subsumption is checked on every attribute, not
+    /// only the ones the guard constrains: `[ts ≤ W]` does not release
+    /// `[segment = 3]`, whose rows after `W` must still be suppressed.
+    pub fn releases(&self, guard: &Pattern) -> bool {
+        // A wildcard subsumes anything, so only this pattern's constrained
+        // attributes can fail; equal schemas make the indices valid for both.
+        self.schema == guard.schema
+            && self.constrained.iter().all(|&i| self.items[i].subsumes(&guard.items[i]))
+    }
+
     /// True when no tuple can match both patterns (some attribute is provably
     /// disjoint; conservative).
     pub fn disjoint_from(&self, other: &Pattern) -> bool {

@@ -121,6 +121,14 @@ impl Punctuation {
         self.pattern.matches(tuple)
     }
 
+    /// True when this punctuation releases the feedback guard `guard`
+    /// ([`Pattern::releases`]).  A stage-directive marker asserts nothing
+    /// about the stream, so it releases nothing despite its all-wildcard
+    /// pattern.
+    pub fn releases(&self, guard: &Pattern) -> bool {
+        self.directive.is_none() && self.pattern.releases(guard)
+    }
+
     /// True when this punctuation implies `other` (every subset declared
     /// complete by `other` is also declared complete by this one).
     pub fn implies(&self, other: &Punctuation) -> bool {

@@ -9,9 +9,11 @@
 //!
 //! A [`PunctuationScheme`] records, per attribute of a stream schema, how
 //! embedded punctuation covers that attribute, and answers whether a given
-//! feedback pattern is *supportable* under the scheme.
+//! feedback pattern is *supportable* under the scheme.  Whether a particular
+//! punctuation releases a particular guard does not depend on the scheme:
+//! that is [`Pattern::releases`].
 
-use crate::pattern::{Pattern, PatternItem};
+use crate::pattern::Pattern;
 use dsms_types::{SchemaRef, TypeResult};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -108,23 +110,6 @@ impl PunctuationScheme {
             .filter_map(|&idx| self.schema.field(idx).ok().map(|f| f.name().to_string()))
             .collect()
     }
-
-    /// Decides whether an arriving *embedded* punctuation releases (expires) a
-    /// feedback guard described by `feedback`: the embedded punctuation must
-    /// subsume the feedback pattern on every attribute the feedback
-    /// constrains, i.e. every tuple the feedback describes has been declared
-    /// complete, so the guard can never again suppress anything and may be
-    /// dropped.
-    pub fn releases(&self, embedded: &Pattern, feedback: &Pattern) -> bool {
-        if embedded.schema() != feedback.schema() {
-            return false;
-        }
-        feedback.constrained_attributes().iter().all(|&idx| {
-            let e = embedded.item(idx).unwrap_or(&PatternItem::Wildcard);
-            let f = feedback.item(idx).unwrap_or(&PatternItem::Wildcard);
-            e.subsumes(f)
-        })
-    }
 }
 
 impl fmt::Display for PunctuationScheme {
@@ -143,6 +128,7 @@ impl fmt::Display for PunctuationScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternItem;
     use dsms_types::{DataType, Schema, Timestamp, Value};
 
     fn bid_schema() -> SchemaRef {
@@ -216,7 +202,6 @@ mod tests {
 
     #[test]
     fn release_requires_subsumption_on_constrained_attributes() {
-        let s = scheme();
         let feedback = Pattern::for_attributes(
             bid_schema(),
             &[("timestamp", PatternItem::Lt(Value::Timestamp(Timestamp::from_hours(13))))],
@@ -232,8 +217,50 @@ mod tests {
             &[("timestamp", PatternItem::Le(Value::Timestamp(Timestamp::from_hours(13))))],
         )
         .unwrap();
-        assert!(!s.releases(&early_punct, &feedback), "punctuation has not caught up yet");
-        assert!(s.releases(&late_punct, &feedback), "punctuation at 13:00 covers `< 13:00`");
+        assert!(!early_punct.releases(&feedback), "punctuation has not caught up yet");
+        assert!(late_punct.releases(&feedback), "punctuation at 13:00 covers `< 13:00`");
+    }
+
+    /// Regression: releasing used to check only the attributes the *guard*
+    /// constrains, so progress on `timestamp` released a guard on `auction`
+    /// alone, and rows of that auction after the watermark passed again.
+    #[test]
+    fn release_requires_subsumption_on_every_attribute() {
+        let at = |hours| Value::Timestamp(Timestamp::from_hours(hours));
+        let progress =
+            Pattern::for_attributes(bid_schema(), &[("timestamp", PatternItem::Le(at(13)))])
+                .unwrap();
+
+        let auction_3 =
+            Pattern::for_attributes(bid_schema(), &[("auction", PatternItem::Eq(Value::Int(3)))])
+                .unwrap();
+        assert!(!progress.releases(&auction_3), "later bids on auction 3 must stay suppressed");
+
+        let scoped = |hi| {
+            Pattern::for_attributes(
+                bid_schema(),
+                &[
+                    ("timestamp", PatternItem::Between(at(12), at(hi))),
+                    ("auction", PatternItem::InSet(vec![Value::Int(3), Value::Int(4)])),
+                ],
+            )
+            .unwrap()
+        };
+        assert!(progress.releases(&scoped(13)), "the whole scoped period is complete");
+        assert!(!progress.releases(&scoped(14)), "part of the period is still to come");
+
+        let other_schema = Schema::shared(&[("timestamp", DataType::Timestamp)]);
+        let foreign = Pattern::for_attributes(
+            other_schema.clone(),
+            &[("timestamp", PatternItem::Le(at(13)))],
+        )
+        .unwrap();
+        let foreign_guard =
+            Pattern::for_attributes(other_schema, &[("timestamp", PatternItem::Le(at(12)))])
+                .unwrap();
+        assert!(foreign.releases(&foreign_guard));
+        assert!(!foreign.releases(&scoped(12)), "a schema mismatch never releases");
+        assert!(!progress.releases(&foreign_guard), "a schema mismatch never releases");
     }
 
     #[test]
