@@ -178,13 +178,25 @@ impl FeedbackRegistry {
         &self.desired
     }
 
-    /// Registers newly received feedback.  Duplicate or subsumed assumed
+    /// Registers newly received feedback: counts the receipt and
+    /// [`mount`](Self::mount)s it.  Feedback rejected in strict mode is not
+    /// counted as received.
+    pub fn register(&mut self, feedback: FeedbackPunctuation) -> FeedbackResult<()> {
+        let intent = feedback.intent();
+        self.mount(feedback)?;
+        self.stats.received.record(intent);
+        Ok(())
+    }
+
+    /// Mounts feedback without counting a receipt — for an operator that
+    /// turns one received message into several guards (a join guarding both
+    /// inputs) and counts the receipt itself.  Duplicate or subsumed assumed
     /// guards are coalesced: a new guard that is already implied by an active
     /// one is dropped, and active guards implied by the new one are replaced.
     /// An assumed or desired pattern the last punctuation seen already
     /// releases — feedback that arrives after the stream has moved past what
     /// it describes — counts as expired on arrival and is not mounted.
-    pub fn register(&mut self, feedback: FeedbackPunctuation) -> FeedbackResult<()> {
+    pub fn mount(&mut self, feedback: FeedbackPunctuation) -> FeedbackResult<()> {
         if let (Some(scheme), true) = (&self.scheme, self.strict) {
             if !scheme.supports(feedback.pattern()) {
                 self.stats.rejected_unsupportable += 1;
@@ -198,7 +210,6 @@ impl FeedbackRegistry {
                 self.stats.unexpirable_guards += 1;
             }
         }
-        self.stats.received.record(feedback.intent());
         if feedback.intent() != FeedbackIntent::Demanded
             && self.last_punctuation.as_ref().is_some_and(|p| p.releases(feedback.pattern()))
         {

@@ -52,7 +52,7 @@ pub use error::{EngineError, EngineResult};
 pub use executor::{ExecutionReport, SyncExecutor};
 pub use metrics::{ElasticStats, OperatorMetrics, RecoverySummary, SchedulerSummary};
 pub use operator::{
-    Emission, Operator, OperatorContext, SourceState, StateEntry, StreamItem, Wrapper,
+    replay_page, Emission, Operator, OperatorContext, SourceState, StateEntry, StreamItem, Wrapper,
 };
 pub use page::{ColumnarPage, Page, PageBuilder, PageIter};
 pub use plan::{Edge, NodeId, PlanNode, PlanParts, QueryPlan, RecoveryPolicy};

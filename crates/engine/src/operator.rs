@@ -64,7 +64,7 @@ impl StreamItem {
 ///
 /// Routing a page as a page (rather than re-pushing its items one by one
 /// through the output's [`crate::page::PageBuilder`]) preserves batching
-/// across fan-out hops: a `Duplicate` or `Union` that classified an entire
+/// across fan-out hops: a `Duplicate` or `Merge` that classified an entire
 /// input page as pass-through forwards it without per-item work, so the
 /// downstream operator still sees full pages and batch-level guard
 /// evaluation keeps working.
@@ -369,23 +369,15 @@ pub trait Operator: Send {
 
     /// Called with a whole page of stream items arriving on `input`.  Both
     /// executors move data between operators page-at-a-time and dispatch
-    /// through this hook; the default replays the page in arrival order and
-    /// forwards each item to [`Operator::on_tuple`] /
+    /// through this hook; the default, [`replay_page`], replays the page in
+    /// arrival order through [`Operator::on_tuple`] /
     /// [`Operator::on_punctuation`], which is correct for every operator.
     /// Operators with columnar kernels (select, project, shuffle, aggregate,
-    /// the sinks) override it to classify the whole batch against feedback
-    /// guards via [`Page::column_summary`] and process the row lane in one
-    /// tight loop — see `docs/DATA_LAYOUT.md` for the kernel protocol.
+    /// duplicate, merge) override it to classify the whole batch against
+    /// feedback guards via [`Page::column_summary`] and then walk the page
+    /// once — see `docs/DATA_LAYOUT.md` for the kernel protocol.
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
-        for item in page {
-            match item {
-                StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                StreamItem::Punctuation(punctuation) => {
-                    self.on_punctuation(input, punctuation, ctx)?
-                }
-            }
-        }
-        Ok(())
+        replay_page(self, input, page, ctx)
     }
 
     /// Called for every embedded punctuation arriving on `input`.  The default
@@ -565,6 +557,25 @@ pub trait Operator: Send {
     }
 }
 
+/// Feeds `page` to `op` item by item, in arrival order, through its own
+/// [`Operator::on_tuple`] and [`Operator::on_punctuation`]: the default
+/// [`Operator::on_page`], and the `on_page` of a [`Wrapper`] whose per-item
+/// hooks must see every item instead of the wrapped operator's batch path.
+pub fn replay_page<O: Operator + ?Sized>(
+    op: &mut O,
+    input: usize,
+    page: Page,
+    ctx: &mut OperatorContext,
+) -> EngineResult<()> {
+    for item in page {
+        match item {
+            StreamItem::Tuple(tuple) => op.on_tuple(input, tuple, ctx)?,
+            StreamItem::Punctuation(punctuation) => op.on_punctuation(input, punctuation, ctx)?,
+        }
+    }
+    Ok(())
+}
+
 /// An operator defined as a delta over another one: every hook forwards to
 /// the wrapped operator unless overridden (see the module docs, "Wrapping an
 /// operator").
@@ -631,6 +642,11 @@ pub trait Wrapper: Send {
     /// See [`Operator::on_flush`].
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
         self.inner_mut().on_flush(ctx)
+    }
+
+    /// See [`Operator::feedback_stats`].
+    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
+        self.inner().feedback_stats()
     }
 
     /// See [`Operator::checkpoint`].
@@ -717,7 +733,7 @@ impl<W: Wrapper> Operator for W {
     }
 
     fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        self.inner().feedback_stats()
+        Wrapper::feedback_stats(self)
     }
 
     fn export_state(&mut self) -> Vec<StateEntry> {

@@ -22,6 +22,7 @@
 //! the current partial aggregates for matching groups (a partial result is
 //! better than no result within the issuer's margin of action).
 
+use crate::common::guarded_pass;
 use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry};
 use dsms_feedback::{
     characterize_aggregate, AggregateSpec, AttributeMapping, BatchGuardDecision, ExploitAction,
@@ -491,45 +492,11 @@ impl Operator for WindowAggregate {
         } else {
             BatchGuardDecision::Mixed
         };
-        match decision {
-            BatchGuardDecision::SuppressAll => {
-                for item in page {
-                    if let dsms_engine::StreamItem::Punctuation(punctuation) = item {
-                        self.on_punctuation(input, punctuation, ctx)?;
-                    }
-                }
-            }
-            BatchGuardDecision::PassAll => {
-                for item in page {
-                    match item {
-                        dsms_engine::StreamItem::Tuple(tuple) => {
-                            let group: Vec<Value> = self
-                                .group_indices
-                                .iter()
-                                .map(|i| tuple.values()[*i].clone())
-                                .collect();
-                            self.accumulate(&tuple, group)?;
-                        }
-                        dsms_engine::StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-            BatchGuardDecision::Mixed => {
-                for item in page {
-                    match item {
-                        dsms_engine::StreamItem::Tuple(tuple) => {
-                            self.on_tuple(input, tuple, ctx)?
-                        }
-                        dsms_engine::StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        guarded_pass(self, input, page, decision, ctx, |avg, tuple, _| {
+            let group: Vec<Value> =
+                avg.group_indices.iter().map(|i| tuple.values()[*i].clone()).collect();
+            avg.accumulate(&tuple, group)
+        })
     }
 
     fn on_punctuation(

@@ -1,8 +1,35 @@
 //! Shared helpers for operators.
 
 use dsms_engine::{EngineResult, Operator, OperatorContext, Page, StreamItem};
+use dsms_feedback::BatchGuardDecision;
 use dsms_types::{Timestamp, Tuple};
 use std::time::{Duration, Instant};
+
+/// The single pass of a guarded `on_page` kernel (`docs/DATA_LAYOUT.md`):
+/// walks the page once, in arrival order, handing each punctuation to
+/// [`Operator::on_punctuation`] and each tuple to the arm `decision` picks —
+/// dropped under `SuppressAll`, given to `pass` (the kernel's guard-free
+/// body) under `PassAll`, and given to [`Operator::on_tuple`] under `Mixed`.
+pub(crate) fn guarded_pass<O: Operator>(
+    op: &mut O,
+    input: usize,
+    page: Page,
+    decision: BatchGuardDecision,
+    ctx: &mut OperatorContext,
+    mut pass: impl FnMut(&mut O, Tuple, &mut OperatorContext) -> EngineResult<()>,
+) -> EngineResult<()> {
+    for item in page {
+        match item {
+            StreamItem::Punctuation(punctuation) => op.on_punctuation(input, punctuation, ctx)?,
+            StreamItem::Tuple(tuple) => match decision {
+                BatchGuardDecision::SuppressAll => {}
+                BatchGuardDecision::PassAll => pass(op, tuple, ctx)?,
+                BatchGuardDecision::Mixed => op.on_tuple(input, tuple, ctx)?,
+            },
+        }
+    }
+    Ok(())
+}
 
 /// A predicate over tuples, usable as a select condition or a split condition.
 ///
@@ -59,8 +86,8 @@ pub fn simulate_cost(cost: Duration) {
     }
 }
 
-/// Combined progress-watermark tracker for N-input merge-style operators
-/// (UNION, the partition fan-in MERGE): a subset of the merged *output* is
+/// Combined progress-watermark tracker for N-input operators ([`Merge`](crate::merge::Merge),
+/// which is also the paper's UNION): a subset of the merged *output* is
 /// complete only once **every** input has declared it complete, so the
 /// combined watermark is the minimum of the per-input watermarks, emitted
 /// only when it advances.
@@ -217,13 +244,7 @@ impl<O: Operator> dsms_engine::Wrapper for Costed<O> {
     }
 
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
-        for item in page {
-            match item {
-                StreamItem::Tuple(tuple) => Operator::on_tuple(self, input, tuple, ctx)?,
-                StreamItem::Punctuation(p) => self.inner.on_punctuation(input, p, ctx)?,
-            }
-        }
-        Ok(())
+        dsms_engine::replay_page(self, input, page, ctx)
     }
 }
 

@@ -8,7 +8,8 @@
 //! from **every** output; until then the correct response is the null
 //! response (and no propagation).
 
-use dsms_engine::{EngineResult, Operator, OperatorContext, Page, StreamItem};
+use crate::common::guarded_pass;
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
     characterize_duplicate, BatchGuardDecision, FeedbackIntent, FeedbackPunctuation,
     FeedbackRegistry, FeedbackRoles, GuardDecision,
@@ -98,35 +99,17 @@ impl Operator for Duplicate {
     /// exact per-item path.
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
-        match decision {
-            BatchGuardDecision::PassAll => {
-                // Page clones share the row/punctuation lanes, so this is N-1
-                // refcount bumps plus one move — identical item order on every
-                // output, exactly like the per-tuple path.
-                for port in 0..self.outputs - 1 {
-                    ctx.emit_page(port, page.clone());
-                }
-                ctx.emit_page(self.outputs - 1, page);
+        if decision == BatchGuardDecision::PassAll {
+            // Page clones share the row/punctuation lanes, so this is N-1
+            // refcount bumps plus one move — identical item order on every
+            // output, exactly like the per-tuple path.
+            for port in 0..self.outputs - 1 {
+                ctx.emit_page(port, page.clone());
             }
-            BatchGuardDecision::SuppressAll => {
-                for item in page {
-                    if let StreamItem::Punctuation(punctuation) = item {
-                        self.on_punctuation(input, punctuation, ctx)?;
-                    }
-                }
-            }
-            BatchGuardDecision::Mixed => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
+            ctx.emit_page(self.outputs - 1, page);
+            return Ok(());
         }
-        Ok(())
+        guarded_pass(self, input, page, decision, ctx, |dup, t, ctx| dup.on_tuple(input, t, ctx))
     }
 
     fn on_punctuation(
@@ -186,6 +169,7 @@ impl Operator for Duplicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_punctuation::PatternItem;
     use dsms_types::{DataType, Schema, Timestamp, Value};
 

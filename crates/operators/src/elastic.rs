@@ -36,9 +36,7 @@
 //! fixed-partition run produces — the property `tests/elastic_parity.rs`
 //! pins on both executors.
 
-use dsms_engine::{
-    ElasticStats, EngineResult, Operator, OperatorContext, Page, StateEntry, StreamItem,
-};
+use dsms_engine::{ElasticStats, EngineResult, Operator, OperatorContext, Page, StateEntry};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles};
 use dsms_punctuation::{Pattern, Punctuation, StageDirective};
 use dsms_types::{FixedHasher, Value};
@@ -287,13 +285,7 @@ impl<O: Operator> dsms_engine::Wrapper for ElasticReplica<O> {
         if !page.punctuations().any(|p| p.stage_directive().is_some()) {
             return self.inner.on_page(input, page, ctx);
         }
-        for item in page {
-            match item {
-                StreamItem::Tuple(tuple) => self.inner.on_tuple(input, tuple, ctx)?,
-                StreamItem::Punctuation(p) => Operator::on_punctuation(self, input, p, ctx)?,
-            }
-        }
-        Ok(())
+        dsms_engine::replay_page(self, input, page, ctx)
     }
 
     fn on_punctuation(
@@ -337,6 +329,7 @@ impl<O: Operator> dsms_engine::Wrapper for ElasticReplica<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_types::{DataType, Schema, SchemaRef, Tuple};
 
     fn schema() -> SchemaRef {

@@ -32,7 +32,7 @@
 //! forwarded as a page — N−1 refcount bumps plus one move, never a tuple
 //! copy.
 
-use dsms_engine::{EngineResult, Operator, OperatorContext, Page, StreamItem};
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
     BatchGuardDecision, FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
     FeedbackStats, GuardDecision,
@@ -330,15 +330,7 @@ impl Operator for SharedFanout {
                 return Ok(());
             }
         }
-        for item in page {
-            match item {
-                StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                StreamItem::Punctuation(punctuation) => {
-                    self.on_punctuation(input, punctuation, ctx)?
-                }
-            }
-        }
-        Ok(())
+        dsms_engine::replay_page(self, input, page, ctx)
     }
 
     /// Punctuations advance the boundary clock and are the consistent cut at
@@ -419,6 +411,7 @@ impl Operator for SharedFanout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, Timestamp, Value};
 

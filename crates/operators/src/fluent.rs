@@ -23,7 +23,6 @@ use crate::select::Select;
 use crate::shuffle::Shuffle;
 use crate::sink::{CollectSink, SinkHandle, TimedSink, TimedSinkHandle};
 use crate::split::Split;
-use crate::union::Union;
 use dsms_engine::{EngineError, EngineResult, Operator, Stream};
 use dsms_types::StreamDuration;
 
@@ -100,9 +99,11 @@ pub trait StreamOps: Sized {
         value_attribute: &str,
     ) -> EngineResult<Stream>;
 
-    /// Merges this stream with `other` through a UNION built over this
-    /// stream's schema (rejects `other` at composition time when its schema
-    /// differs).
+    /// Merges this stream with `other` through the paper's UNION — a
+    /// two-input [`Merge`] over this stream's schema, which absorbs per-input
+    /// punctuation, guards its output with the feedback it receives and
+    /// broadcasts that feedback to both inputs.  Rejects `other` at
+    /// composition time when its schema differs.
     fn union(self, other: Stream, name: impl Into<String>) -> EngineResult<Stream>;
 
     /// Splits the stream by content: the first returned stream carries tuples
@@ -233,7 +234,7 @@ impl StreamOps for Stream {
     }
 
     fn union(self, other: Stream, name: impl Into<String>) -> EngineResult<Stream> {
-        let op = Union::new(name, self.schema().clone(), 2);
+        let op = Merge::new(name, self.schema().clone(), 2);
         self.combine(other, op)
     }
 
@@ -416,6 +417,22 @@ mod tests {
         let report = SyncExecutor::run(builder.build().unwrap()).unwrap();
         assert_eq!(results.lock().len(), 100, "split ∪ rest = everything");
         assert_eq!(report.operator("reunite").unwrap().tuples_out, 100);
+    }
+
+    #[test]
+    fn union_lowers_to_an_exploiting_relaying_merge() {
+        let builder = StreamBuilder::new();
+        let (slow, fast) = builder
+            .source(VecSource::new("sensors", readings(10)))
+            .unwrap()
+            .split("by-speed", TuplePredicate::new("speed < 40", |_| true))
+            .unwrap();
+        slow.union(fast, "reunite").unwrap().sink_collect("out").unwrap();
+        let parts = builder.build().unwrap().into_parts();
+        let node = parts.nodes.iter().find(|n| n.name == "reunite").unwrap();
+        let roles = node.operator.feedback_roles();
+        assert!(roles.exploits() && roles.relays(), "{roles}");
+        assert!(!roles.produces(), "no disorder or elastic option set: {roles}");
     }
 
     #[test]

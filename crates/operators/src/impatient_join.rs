@@ -9,7 +9,7 @@
 //! semantics of desired feedback.
 
 use crate::join::SymmetricHashJoin;
-use dsms_engine::{EngineResult, Operator, OperatorContext};
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles, FeedbackStats};
 use dsms_punctuation::{Pattern, PatternItem, Punctuation};
 use dsms_types::{SchemaRef, Tuple, Value};
@@ -17,6 +17,11 @@ use std::collections::HashSet;
 
 /// A symmetric hash join that requests prioritized delivery of probe tuples
 /// matching keys it already holds on the build side.
+///
+/// A [`Wrapper`](dsms_engine::Wrapper) over the join: hooks it does not
+/// override — feedback, schemas, state export and import — reach the inner
+/// join.  It is not restartable: the set of requested keys and the pending
+/// batch are not checkpointed, so a restart would re-request keys.
 pub struct ImpatientJoin {
     name: String,
     inner: SymmetricHashJoin,
@@ -86,25 +91,27 @@ impl ImpatientJoin {
     }
 }
 
-impl Operator for ImpatientJoin {
-    fn feedback_roles(&self) -> FeedbackRoles {
-        self.inner.feedback_roles().with_producer()
+impl dsms_engine::Wrapper for ImpatientJoin {
+    type Inner = SymmetricHashJoin;
+
+    fn inner(&self) -> &SymmetricHashJoin {
+        &self.inner
     }
 
-    fn schema_in(&self, input: usize) -> Option<SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<SchemaRef> {
-        self.inner.schema_out(output)
+    fn inner_mut(&mut self) -> &mut SymmetricHashJoin {
+        &mut self.inner
     }
 
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn inputs(&self) -> usize {
-        2
+    fn feedback_roles(&self) -> FeedbackRoles {
+        self.inner.feedback_roles().with_producer()
+    }
+
+    fn restartable(&self) -> bool {
+        false
     }
 
     fn on_tuple(
@@ -129,6 +136,11 @@ impl Operator for ImpatientJoin {
         self.inner.on_tuple(input, tuple, ctx)
     }
 
+    /// Item by item through this wrapper, so every build-side tuple is seen.
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        dsms_engine::replay_page(self, input, page, ctx)
+    }
+
     fn on_punctuation(
         &mut self,
         input: usize,
@@ -138,15 +150,6 @@ impl Operator for ImpatientJoin {
         // A window boundary is a natural point to flush a partial batch.
         self.flush_pending(ctx)?;
         self.inner.on_punctuation(input, punctuation, ctx)
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_feedback(output, feedback, ctx)
     }
 
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
@@ -256,5 +259,24 @@ mod tests {
         j.on_tuple(0, vehicle(10, 1), &mut ctx).unwrap();
         j.on_flush(&mut ctx).unwrap();
         assert_eq!(ctx.take_feedback().len(), 1);
+    }
+
+    #[test]
+    fn pages_reach_the_wrapper_and_stats_include_its_requests() {
+        use dsms_engine::StreamItem;
+        let mut j = impatient(1);
+        let mut ctx = OperatorContext::new();
+        let page = Page::from_items(vec![
+            StreamItem::Tuple(vehicle(10, 3)),
+            StreamItem::Tuple(vehicle(11, 5)),
+        ]);
+        j.on_page(0, page, &mut ctx).unwrap();
+        let feedback = ctx.take_feedback();
+        assert_eq!(feedback.len(), 2, "one desired punctuation per new build key");
+        assert!(feedback
+            .iter()
+            .all(|(port, f)| *port == 1 && f.intent() == FeedbackIntent::Desired));
+        assert_eq!(j.inner.buffered(), 2, "the rows still reach the inner join");
+        assert_eq!(j.feedback_stats().unwrap().issued.desired, 2);
     }
 }

@@ -14,13 +14,16 @@
 //! feedback on join attributes purges both tables, guards both inputs and
 //! propagates to both antecedents; feedback on attributes of one input only
 //! goes to that side; feedback coupling both sides can only guard the output.
+//! Input guards live in one [`FeedbackRegistry`] per input and expire on that
+//! input's punctuation; output guards expire on the progress punctuation the
+//! join emits once both inputs have passed a window.
 
 use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry};
 use dsms_feedback::{
     characterize_join, AttributeMapping, ExploitAction, FeedbackIntent, FeedbackPunctuation,
-    FeedbackRegistry, FeedbackRoles, JoinSpec, PropagationRule,
+    FeedbackRegistry, FeedbackRoles, GuardDecision, JoinSpec, PropagationRule,
 };
-use dsms_punctuation::{Pattern, Punctuation};
+use dsms_punctuation::Punctuation;
 use dsms_types::{Schema, SchemaRef, StreamDuration, Timestamp, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,7 +52,6 @@ pub struct SymmetricHashJoin {
     left_schema: SchemaRef,
     right_schema: SchemaRef,
     output_schema: SchemaRef,
-    key_attributes: Vec<String>,
     left_key_indices: Vec<usize>,
     right_key_indices: Vec<usize>,
     /// Indices of right attributes that are *not* join keys (appended to the
@@ -68,10 +70,11 @@ pub struct SymmetricHashJoin {
     right_watermark: Option<Timestamp>,
     purged_watermark: Option<Timestamp>,
     spec: JoinSpec,
-    output_guards: Vec<Pattern>,
-    left_input_guards: Vec<Pattern>,
-    right_input_guards: Vec<Pattern>,
-    registry: FeedbackRegistry,
+    /// Guards per input port, over that input's schema.
+    input_guards: [FeedbackRegistry; 2],
+    /// Guards over the output schema; also holds the join's own counters
+    /// (receipts, relays, purges).
+    output_guards: FeedbackRegistry,
 }
 
 impl SymmetricHashJoin {
@@ -164,12 +167,12 @@ impl SymmetricHashJoin {
         };
 
         Ok(SymmetricHashJoin {
-            registry: FeedbackRegistry::new(name.clone()),
+            input_guards: std::array::from_fn(|_| FeedbackRegistry::new(name.clone())),
+            output_guards: FeedbackRegistry::new(name.clone()),
             name,
             left_schema,
             right_schema,
             output_schema,
-            key_attributes: key_attributes.iter().map(|s| s.to_string()).collect(),
             left_key_indices,
             right_key_indices,
             right_payload_indices,
@@ -184,9 +187,6 @@ impl SymmetricHashJoin {
             right_watermark: None,
             purged_watermark: None,
             spec,
-            output_guards: Vec::new(),
-            left_input_guards: Vec::new(),
-            right_input_guards: Vec::new(),
         })
     }
 
@@ -233,19 +233,9 @@ impl SymmetricHashJoin {
 
     fn emit_joined(&mut self, left: &Tuple, right: Option<&Tuple>, ctx: &mut OperatorContext) {
         let out = self.output_of(left, right);
-        if self.output_guards.iter().any(|p| p.matches(&out)) {
-            self.registry.stats_mut().tuples_suppressed += 1;
-            return;
+        if self.output_guards.decide(&out) != GuardDecision::Suppress {
+            ctx.emit(0, out);
         }
-        ctx.emit(0, out);
-    }
-
-    fn input_guarded(&self, side: JoinSide, tuple: &Tuple) -> bool {
-        let guards = match side {
-            JoinSide::Left => &self.left_input_guards,
-            JoinSide::Right => &self.right_input_guards,
-        };
-        guards.iter().any(|p| p.matches(tuple))
     }
 
     fn purge_closed_windows(&mut self, ctx: &mut OperatorContext) {
@@ -277,11 +267,13 @@ impl SymmetricHashJoin {
         let before = self.buffered();
         self.left_state.retain(|(wid, _), _| !closeable(*wid));
         self.right_state.retain(|(wid, _), _| !closeable(*wid));
-        self.registry.stats_mut().state_purged += (before - self.buffered()) as u64;
-        // Forward progress on the shared timestamp attribute.
+        self.output_guards.stats_mut().state_purged += (before - self.buffered()) as u64;
+        // Forward progress on the shared timestamp attribute; it releases
+        // the output guards it covers.
         if let Ok(p) =
             Punctuation::progress(self.output_schema.clone(), &self.timestamp_attribute, watermark)
         {
+            self.output_guards.expire_with(&p);
             ctx.emit_punctuation(0, p);
         }
     }
@@ -314,11 +306,10 @@ impl Operator for SymmetricHashJoin {
         tuple: Tuple,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        let side = if input == 0 { JoinSide::Left } else { JoinSide::Right };
-        if self.input_guarded(side, &tuple) {
-            self.registry.stats_mut().tuples_suppressed += 1;
+        if self.input_guards[input].decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
+        let side = if input == 0 { JoinSide::Left } else { JoinSide::Right };
         let ts = tuple.timestamp_at(match side {
             JoinSide::Left => self.left_ts_index,
             JoinSide::Right => self.right_ts_index,
@@ -367,6 +358,7 @@ impl Operator for SymmetricHashJoin {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
+        self.input_guards[input].expire_with(&punctuation);
         if let Some(w) = punctuation.watermark_for(&self.timestamp_attribute) {
             if input == 0 {
                 self.left_watermark = Some(self.left_watermark.map(|cur| cur.max(w)).unwrap_or(w));
@@ -385,21 +377,21 @@ impl Operator for SymmetricHashJoin {
         feedback: FeedbackPunctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        self.registry.stats_mut().received.record(feedback.intent());
+        // One receipt per message, however many guards it mounts; the join
+        // exploits only assumed feedback.
+        self.output_guards.stats_mut().received.record(feedback.intent());
         if feedback.intent() != FeedbackIntent::Assumed {
-            let _ = self.registry.register(feedback);
             return Ok(());
         }
         let characterization = characterize_join(&self.spec, feedback.pattern())?;
         for action in &characterization.actions {
             match action {
-                ExploitAction::GuardOutput(pattern) => self.output_guards.push(pattern.clone()),
+                ExploitAction::GuardOutput(pattern) => {
+                    let _ = self.output_guards.mount(feedback.relay(pattern.clone(), &self.name));
+                }
                 ExploitAction::GuardInput { input, pattern } => {
-                    if *input == 0 {
-                        self.left_input_guards.push(pattern.clone());
-                    } else {
-                        self.right_input_guards.push(pattern.clone());
-                    }
+                    let guard = feedback.relay(pattern.clone(), &self.name);
+                    let _ = self.input_guards[*input].mount(guard);
                 }
                 ExploitAction::PurgeState(_) => {
                     // Purge buffered tuples that can only contribute to joined
@@ -428,7 +420,8 @@ impl Operator for SymmetricHashJoin {
                         }
                         self.right_state.retain(|_, bucket| !bucket.is_empty());
                     }
-                    self.registry.stats_mut().state_purged += (before - self.buffered()) as u64;
+                    self.output_guards.stats_mut().state_purged +=
+                        (before - self.buffered()) as u64;
                 }
                 ExploitAction::PurgeAndGuardMatchingGroups => {}
             }
@@ -436,10 +429,9 @@ impl Operator for SymmetricHashJoin {
         if let PropagationRule::ToInputs(targets) = &characterization.propagation {
             for (input, pattern) in targets {
                 ctx.send_feedback(*input, feedback.relay(pattern.clone(), &self.name));
-                self.registry.stats_mut().relayed.record(feedback.intent());
+                self.output_guards.stats_mut().relayed.record(feedback.intent());
             }
         }
-        let _ = self.registry.register(feedback);
         Ok(())
     }
 
@@ -456,7 +448,6 @@ impl Operator for SymmetricHashJoin {
         }
         self.left_state.clear();
         self.right_state.clear();
-        let _ = (&self.left_schema, &self.right_schema, &self.key_attributes);
         Ok(())
     }
 
@@ -502,7 +493,11 @@ impl Operator for SymmetricHashJoin {
     }
 
     fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        Some(self.registry.stats().clone())
+        let mut stats = self.output_guards.stats().clone();
+        for guards in &self.input_guards {
+            stats.merge(guards.stats());
+        }
+        Some(stats)
     }
 
     fn restartable(&self) -> bool {
@@ -518,10 +513,8 @@ impl Operator for SymmetricHashJoin {
                 left_watermark: self.left_watermark,
                 right_watermark: self.right_watermark,
                 purged_watermark: self.purged_watermark,
+                input_guards: self.input_guards.clone(),
                 output_guards: self.output_guards.clone(),
-                left_input_guards: self.left_input_guards.clone(),
-                right_input_guards: self.right_input_guards.clone(),
-                registry: self.registry.clone(),
             }),
         }])
     }
@@ -532,10 +525,8 @@ impl Operator for SymmetricHashJoin {
         self.left_watermark = None;
         self.right_watermark = None;
         self.purged_watermark = None;
-        self.output_guards = Vec::new();
-        self.left_input_guards = Vec::new();
-        self.right_input_guards = Vec::new();
-        self.registry = FeedbackRegistry::new(self.name.clone());
+        self.input_guards = std::array::from_fn(|_| FeedbackRegistry::new(self.name.clone()));
+        self.output_guards = FeedbackRegistry::new(self.name.clone());
         for entry in entries {
             match entry.payload.downcast::<JoinSnapshot>() {
                 Ok(snapshot) => {
@@ -544,10 +535,8 @@ impl Operator for SymmetricHashJoin {
                     self.left_watermark = snapshot.left_watermark;
                     self.right_watermark = snapshot.right_watermark;
                     self.purged_watermark = snapshot.purged_watermark;
+                    self.input_guards = snapshot.input_guards;
                     self.output_guards = snapshot.output_guards;
-                    self.left_input_guards = snapshot.left_input_guards;
-                    self.right_input_guards = snapshot.right_input_guards;
-                    self.registry = snapshot.registry;
                 }
                 Err(_) => {
                     return Err(EngineError::OperatorFailed {
@@ -570,17 +559,15 @@ struct JoinSnapshot {
     left_watermark: Option<Timestamp>,
     right_watermark: Option<Timestamp>,
     purged_watermark: Option<Timestamp>,
-    output_guards: Vec<Pattern>,
-    left_input_guards: Vec<Pattern>,
-    right_input_guards: Vec<Pattern>,
-    registry: FeedbackRegistry,
+    input_guards: [FeedbackRegistry; 2],
+    output_guards: FeedbackRegistry,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsms_engine::StreamItem;
-    use dsms_punctuation::PatternItem;
+    use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::DataType;
 
     fn sensor_schema() -> SchemaRef {
@@ -794,5 +781,85 @@ mod tests {
         // …but a result matching only one side still appears.
         j.on_tuple(1, probe(13, 3, 10.0), &mut ctx).unwrap();
         assert_eq!(emitted_tuples(&mut ctx).len(), 1);
+    }
+
+    fn progress(ts: i64) -> Punctuation {
+        Punctuation::progress(sensor_schema(), "timestamp", Timestamp::from_secs(ts)).unwrap()
+    }
+
+    fn output_pattern(j: &SymmetricHashJoin, items: &[(&str, PatternItem)]) -> Pattern {
+        Pattern::for_attributes(j.output_schema().clone(), items).unwrap()
+    }
+
+    #[test]
+    fn each_feedback_message_is_received_once() {
+        let mut j = join();
+        let mut ctx = OperatorContext::new();
+        // Join-key feedback mounts a guard on both inputs: still one receipt.
+        let key = output_pattern(&j, &[("segment", PatternItem::Eq(Value::Int(3)))]);
+        j.on_feedback(0, FeedbackPunctuation::assumed(key.clone(), "MAP"), &mut ctx).unwrap();
+        j.on_feedback(0, FeedbackPunctuation::desired(key, "MAP"), &mut ctx).unwrap();
+        let stats = j.feedback_stats().unwrap();
+        assert_eq!(stats.received.assumed, 1);
+        assert_eq!(stats.received.desired, 1);
+        assert_eq!(stats.relayed.assumed, 2, "one relay per input");
+    }
+
+    #[test]
+    fn guards_expire_on_the_punctuation_that_subsumes_them() {
+        let mut j = join();
+        let mut ctx = OperatorContext::new();
+        let early = PatternItem::Lt(Value::Timestamp(Timestamp::from_secs(60)));
+        // A left-only guard, mounted on the left input.
+        let left_only = output_pattern(&j, &[("timestamp", early.clone())]);
+        j.on_feedback(0, FeedbackPunctuation::assumed(left_only, "MAP"), &mut ctx).unwrap();
+        // A guard coupling both sides, mounted on the output.
+        let coupled = output_pattern(
+            &j,
+            &[("timestamp", early), ("avg", PatternItem::Ge(Value::Float(50.0)))],
+        );
+        j.on_feedback(0, FeedbackPunctuation::assumed(coupled, "MAP"), &mut ctx).unwrap();
+
+        // The right input's progress releases neither: the left guard waits
+        // for the left input, the output guard for both.
+        j.on_punctuation(1, progress(100), &mut ctx).unwrap();
+        assert_eq!(j.feedback_stats().unwrap().guards_expired, 0);
+        j.on_tuple(0, sensor(30, 3, 40.0), &mut ctx).unwrap();
+        assert_eq!(j.buffered(), 0, "the left guard still holds");
+
+        // The left input's progress releases its guard, and the combined
+        // progress punctuation the join emits releases the output guard.
+        j.on_punctuation(0, progress(100), &mut ctx).unwrap();
+        assert_eq!(j.feedback_stats().unwrap().guards_expired, 2);
+    }
+
+    #[test]
+    fn checkpoint_restore_keeps_the_live_guards() {
+        let mut j = join();
+        let mut ctx = OperatorContext::new();
+        let key = output_pattern(&j, &[("segment", PatternItem::Eq(Value::Int(3)))]);
+        j.on_feedback(0, FeedbackPunctuation::assumed(key, "MAP"), &mut ctx).unwrap();
+        let coupled = output_pattern(
+            &j,
+            &[
+                ("speed", PatternItem::Ge(Value::Float(50.0))),
+                ("avg", PatternItem::Ge(Value::Float(50.0))),
+            ],
+        );
+        j.on_feedback(0, FeedbackPunctuation::assumed(coupled, "MAP"), &mut ctx).unwrap();
+        let snapshot = j.checkpoint().unwrap();
+
+        let mut restored = join();
+        restored.restore(snapshot).unwrap();
+        assert_eq!(restored.feedback_stats(), j.feedback_stats());
+        // Both input guards survive: segment 3 is dropped on either side.
+        restored.on_tuple(0, sensor(10, 3, 40.0), &mut ctx).unwrap();
+        restored.on_tuple(1, probe(10, 3, 40.0), &mut ctx).unwrap();
+        assert_eq!(restored.buffered(), 0);
+        // The output guard survives: a result matching it is suppressed.
+        restored.on_tuple(0, sensor(10, 4, 60.0), &mut ctx).unwrap();
+        restored.on_tuple(1, probe(10, 4, 70.0), &mut ctx).unwrap();
+        assert!(emitted_tuples(&mut ctx).is_empty());
+        assert_eq!(restored.feedback_stats().unwrap().tuples_suppressed, 3);
     }
 }

@@ -13,7 +13,6 @@
 //! | [`project::Project`] | π | relays feedback through its attribute mapping |
 //! | [`duplicate::Duplicate`] | DUPLICATE | exploits only when all outputs assume the same subset |
 //! | [`split::Split`] | σC / σ¬C pair | content-based routing for the imputation plan |
-//! | [`union::Union`] | UNION | merges inputs, relays feedback to both |
 //! | [`pace::Pace`] | PACE | *produces* assumed feedback from its disorder bound |
 //! | [`impute::Impute`] | IMPUTE | *exploits* assumed feedback by purging/skipping late tuples |
 //! | [`aggregate::WindowAggregate`] | COUNT/SUM/AVG/MAX/MIN | Table 1 characterization; schemes F1/F2 |
@@ -25,7 +24,7 @@
 //! | [`demand::OnDemandGate`] | Example 4 | answers demanded punctuation / result requests |
 //! | [`shuffle::Shuffle`] | data-parallel fan-out | broadcasts punctuation to replicas; lattice-merges replica feedback before relaying |
 //! | [`fanout::SharedFanout`] | multi-query fan-out | per-port guard isolation; lattice-merges sharer feedback; attach/detach at punctuation boundaries |
-//! | [`merge::Merge`] | data-parallel fan-in | broadcasts consumer feedback to every replica; optionally *produces* disorder-bound feedback |
+//! | [`merge::Merge`] | UNION; data-parallel fan-in | emits the minimum of its inputs' watermarks; exploits consumer feedback and broadcasts it to every input; optionally *produces* disorder-bound feedback |
 //! | [`chaos::Chaos`] | — | deterministic fault-injection wrapper (panic / transient error / stall) for supervised-recovery tests |
 //!
 //! [`common::Costed`] models expensive (CPU- or I/O-bound) operators for
@@ -65,7 +64,6 @@ pub mod sink;
 pub mod source;
 pub mod split;
 pub mod thrifty_join;
-pub mod union;
 
 pub use aggregate::{AggregateFunction, WindowAggregate};
 pub use chaos::{Chaos, FaultSpec};
@@ -89,4 +87,3 @@ pub use sink::{CollectSink, SinkHandle, TimedSink, TimedSinkHandle};
 pub use source::{GeneratorSource, VecSource};
 pub use split::Split;
 pub use thrifty_join::ThriftyJoin;
-pub use union::Union;

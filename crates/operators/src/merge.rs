@@ -1,20 +1,21 @@
-//! MERGE: order-insensitive union of N replica streams.
+//! MERGE: order-insensitive union of N streams of one schema — the paper's
+//! UNION, and the collect side of a partitioned stage.
 //!
-//! The collect side of a partitioned stage: the hash route guarantees that
-//! any one group's tuples all arrive on the same input, so interleaving the
-//! inputs in arrival order reproduces the single-replica output as a
-//! multiset.  Punctuation follows the classic merge rule (a subset of the
-//! output is complete only once **every** input has declared it complete, so
-//! the merge emits the minimum of the per-input watermarks, as
-//! [`Union`](crate::union::Union) does).
+//! Inputs are interleaved in arrival order.  For a partitioned stage the hash
+//! route guarantees that any one group's tuples all arrive on the same input,
+//! so the interleaving reproduces the single-replica output as a multiset.
+//! Punctuation follows the classic union rule: a subset of the output is
+//! complete only once **every** input has declared it complete, so the merge
+//! emits the minimum of the per-input watermarks and absorbs per-input
+//! punctuation when no progress attribute is set.
 //!
-//! The merge point is where cross-partition feedback semantics live on the
+//! The merge point is where cross-input feedback semantics live on the
 //! downstream side:
 //!
-//! * Feedback received from the merge's consumer is **broadcast** upstream to
-//!   all N inputs — the merged stream is the union of the replica streams, so
-//!   a subset disclaimed (or desired, or demanded) downstream applies to each
-//!   replica equally.
+//! * Feedback received from the merge's consumer guards the merge's output
+//!   and is **broadcast** upstream to all N inputs — the merged stream is the
+//!   union of the input streams, so a subset disclaimed (or desired, or
+//!   demanded) downstream applies to each input equally.
 //! * With a [disorder-bound policy](dsms_feedback::ExplicitPolicy) attached,
 //!   the merge also *originates* feedback (paper Section 3.3, explicit
 //!   source): replicas drain at different speeds, so a tuple can reach the
@@ -24,11 +25,12 @@
 //!   partition fan-in, and the counterpart of the shuffle's lattice merge on
 //!   the upstream side.
 
-use crate::common::MinWatermark;
+use crate::common::{guarded_pass, MinWatermark};
 use crate::elastic::{membership, ElasticController, ElasticPolicy};
-use dsms_engine::{EngineResult, Operator, OperatorContext};
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
-    ExplicitPolicy, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, GuardDecision,
+    BatchGuardDecision, ExplicitPolicy, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
+    GuardDecision,
 };
 use dsms_punctuation::{Pattern, Punctuation, StageDirective};
 use dsms_types::{SchemaRef, StreamDuration, Timestamp, Tuple};
@@ -55,8 +57,8 @@ struct ElasticMerge {
     commit_width: usize,
 }
 
-/// Merges `inputs` replica streams of identical schema into one, with
-/// cross-partition feedback handling (see the module docs).
+/// Merges `inputs` streams of identical schema into one, with cross-input
+/// feedback handling (see the module docs).
 pub struct Merge {
     name: String,
     schema: SchemaRef,
@@ -77,8 +79,8 @@ pub struct Merge {
 }
 
 impl Merge {
-    /// Creates a merge over `inputs` replica streams of the given schema
-    /// (clamped to at least 2 inputs).
+    /// Creates a merge over `inputs` streams of the given schema (clamped to
+    /// at least 2 inputs).
     pub fn new(name: impl Into<String>, schema: SchemaRef, inputs: usize) -> Self {
         let name = name.into();
         let inputs = inputs.max(2);
@@ -265,10 +267,11 @@ impl Merge {
 
 impl Operator for Merge {
     fn feedback_roles(&self) -> FeedbackRoles {
+        let roles = FeedbackRoles::exploiter().with_relayer();
         if self.disorder.is_some() || self.elastic.is_some() {
-            FeedbackRoles::relayer().with_producer()
+            roles.with_producer()
         } else {
-            FeedbackRoles::relayer()
+            roles
         }
     }
 
@@ -304,6 +307,29 @@ impl Operator for Merge {
         Ok(())
     }
 
+    /// Batch path: a punctuation-free page whose column summaries prove every
+    /// row clear of the guards is forwarded intact, so fan-in plans keep
+    /// upstream batching.  Every other page takes the single pass: per-input
+    /// punctuation (progress and elastic markers) must go through the
+    /// min-watermark combine, and with a disorder policy every unsuppressed
+    /// arrival must reach `enforce_disorder`.
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
+        if decision == BatchGuardDecision::PassAll
+            && self.disorder.is_none()
+            && page.punctuation_count() == 0
+        {
+            ctx.emit_page(0, page);
+            return Ok(());
+        }
+        guarded_pass(self, input, page, decision, ctx, |merge, tuple, ctx| {
+            if !merge.enforce_disorder(&tuple, ctx)? {
+                ctx.emit(0, tuple);
+            }
+            Ok(())
+        })
+    }
+
     fn on_punctuation(
         &mut self,
         input: usize,
@@ -316,16 +342,16 @@ impl Operator for Merge {
         if let Some(attr) = &self.progress_attribute {
             if let Some(w) = punctuation.watermark_for(attr) {
                 if let Some(combined) = self.progress.observe(input, w) {
-                    // Only the combined punctuation covers every replica.
+                    // Only the combined punctuation covers every input.
                     let combined = Punctuation::progress(self.schema.clone(), attr, combined)?;
                     self.registry.expire_with(&combined);
                     ctx.emit_punctuation(0, combined);
                 }
             }
         }
-        // Without progress tracking a per-input punctuation cannot be
-        // forwarded (the other replicas may still produce matching tuples),
-        // so it is absorbed — but it still clocks the elastic policy.
+        // A per-input punctuation is never forwarded (the other inputs may
+        // still produce matching tuples), so it is absorbed — but it still
+        // clocks the elastic policy.
         self.maybe_resize(input, ctx);
         Ok(())
     }
@@ -450,6 +476,31 @@ mod tests {
     }
 
     #[test]
+    fn disorder_policy_sees_every_row_of_a_clear_page() {
+        let policy = ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(60));
+        let mut op = Merge::new("merge", schema(), 2)
+            .with_disorder_policy(policy, StreamDuration::from_secs(30));
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(0, tuple(600, 1), &mut ctx).unwrap(); // the fast input sets the watermark
+        assert_eq!(ctx.take_emitted().len(), 1);
+        // A clear, punctuation-free page from the lagging input: the page is
+        // not forwarded whole, because its late rows must still be dropped.
+        let page = Page::from_items(vec![
+            StreamItem::Tuple(tuple(100, 2)),
+            StreamItem::Tuple(tuple(590, 3)),
+        ]);
+        op.on_page(1, page, &mut ctx).unwrap();
+        let emitted = ctx.take_emitted();
+        assert_eq!(emitted.len(), 1, "the late row is dropped, the timely one passes");
+        assert_eq!(emitted[0].1.as_tuple().unwrap().int("v").unwrap(), 3);
+        assert_eq!(op.late_dropped(), 1);
+        let feedback = ctx.take_broadcast_feedback();
+        assert_eq!(feedback.len(), 1, "¬[timestamp < cutoff] broadcast to every input");
+        assert!(feedback[0].pattern().matches(&tuple(100, 0)));
+        assert!(!feedback[0].pattern().matches(&tuple(590, 0)));
+    }
+
+    #[test]
     fn construction_clamps_and_exposes_schema() {
         let op = Merge::new("merge", schema(), 0);
         assert_eq!(op.inputs(), 2, "clamped to two inputs");
@@ -515,5 +566,95 @@ mod tests {
             }
             other => panic!("expected punctuation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn punctuation_is_absorbed_without_progress_tracking() {
+        let mut op = Merge::new("union", schema(), 2);
+        let mut ctx = OperatorContext::new();
+        op.on_punctuation(0, progress(100), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty());
+    }
+
+    #[test]
+    fn clear_punctuation_free_pages_pass_through_intact() {
+        use dsms_engine::Emission;
+        let mut op = Merge::new("union", schema(), 2);
+        let mut ctx = OperatorContext::new();
+        let page = Page::from_items(vec![
+            StreamItem::Tuple(tuple(1, 10)),
+            StreamItem::Tuple(tuple(2, 20)),
+        ]);
+        op.on_page(0, page, &mut ctx).unwrap();
+        let mut pages = Vec::new();
+        ctx.drain_emissions(|port, emission| match emission {
+            Emission::Page(p) => pages.push((port, p)),
+            Emission::Item(item) => panic!("expected a whole page, got item {item:?}"),
+        });
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].0, 0);
+        assert_eq!(pages[0].1.tuple_count(), 2);
+    }
+
+    #[test]
+    fn pages_carrying_punctuation_take_the_per_item_path() {
+        let mut op = Merge::new("union", schema(), 2).with_progress_on("timestamp");
+        let mut ctx = OperatorContext::new();
+        // Input 1 has already punctuated to ts=50; input 0's page carries a
+        // punctuation at ts=100, so the combined minimum (50) must be emitted —
+        // forwarding the page intact would leak input 0's watermark.
+        op.on_punctuation(1, progress(50), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty());
+        let page = Page::from_items(vec![
+            StreamItem::Tuple(tuple(1, 10)),
+            StreamItem::Punctuation(progress(100)),
+        ]);
+        op.on_page(0, page, &mut ctx).unwrap();
+        let emitted = ctx.take_emitted();
+        assert_eq!(emitted.len(), 2, "tuple plus the *combined* punctuation");
+        match &emitted[1].1 {
+            StreamItem::Punctuation(p) => {
+                assert_eq!(p.watermark_for("timestamp"), Some(Timestamp::from_secs(50)))
+            }
+            other => panic!("expected combined punctuation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_the_combined_punctuation_expires_guards() {
+        let mut op = Merge::new("union", schema(), 2).with_progress_on("timestamp");
+        let mut ctx = OperatorContext::new();
+        let before_60 = Pattern::for_attributes(
+            schema(),
+            &[("timestamp", PatternItem::Lt(Value::Timestamp(Timestamp::from_secs(60))))],
+        )
+        .unwrap();
+        op.on_feedback(0, FeedbackPunctuation::assumed(before_60, "sink"), &mut ctx).unwrap();
+        // Input 0 is complete up to 100 s, input 1 is not: its rows before
+        // 60 s must still be suppressed.
+        op.on_punctuation(0, progress(100), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(30, 1), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty());
+        assert_eq!(op.feedback_stats().unwrap().guards_expired, 0);
+        op.on_punctuation(1, progress(60), &mut ctx).unwrap();
+        assert_eq!(op.feedback_stats().unwrap().guards_expired, 1);
+    }
+
+    #[test]
+    fn covered_pages_are_dropped_wholesale() {
+        let mut op = Merge::new("union", schema(), 2);
+        let mut ctx = OperatorContext::new();
+        let fb = FeedbackPunctuation::assumed(
+            Pattern::for_attributes(schema(), &[("v", PatternItem::Ge(Value::Int(100)))]).unwrap(),
+            "sink",
+        );
+        op.on_feedback(0, fb, &mut ctx).unwrap();
+        let _ = ctx.take_broadcast_feedback();
+        let page = Page::from_items(vec![
+            StreamItem::Tuple(tuple(1, 150)),
+            StreamItem::Tuple(tuple(2, 200)),
+        ]);
+        op.on_page(0, page, &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty(), "summaries prove the whole page assumed away");
     }
 }

@@ -182,7 +182,7 @@ impl Operator for Pace {
         _ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         // Fold punctuation into the high-watermark; combined punctuation for
-        // the output would require per-input progress (see Union); PACE's
+        // the output would require per-input progress (see Merge); PACE's
         // consumers in the paper's plans do not need it.
         if let Some(w) = punctuation.watermark_for(&self.policy.attribute) {
             self.high_watermark = Some(self.high_watermark.map(|cur| cur.max(w)).unwrap_or(w));

@@ -6,10 +6,11 @@
 //! the input (they survived the projection), so safe propagation always exists
 //! and is computed with [`dsms_feedback::mapping::propagate_through`].
 
-use dsms_engine::{EngineResult, Operator, OperatorContext, Page, StreamItem};
+use crate::common::guarded_pass;
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
-    mapping::propagate_through, AttributeMapping, BatchGuardDecision, FeedbackIntent,
-    FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, GuardDecision, PropagationOutcome,
+    mapping::propagate_through, AttributeMapping, FeedbackIntent, FeedbackPunctuation,
+    FeedbackRegistry, FeedbackRoles, GuardDecision, PropagationOutcome,
 };
 use dsms_punctuation::Punctuation;
 use dsms_types::{SchemaRef, Tuple};
@@ -92,14 +93,10 @@ impl Operator for Project {
     /// Columnar kernel: projection is a column *take* — the output columns
     /// are a subset of the input columns — so guards over the output schema
     /// can be tested against the corresponding *input* column summaries
-    /// before any row is projected.
-    ///
-    /// * [`BatchGuardDecision::SuppressAll`] — no row is even projected
-    ///   (punctuation still flows, remapped).
-    /// * [`BatchGuardDecision::PassAll`] — project each row without
-    ///   per-projected-tuple guard probes.
-    /// * [`BatchGuardDecision::Mixed`] — fall back to the exact per-tuple
-    ///   path.
+    /// before any row is projected.  Under `SuppressAll` no row is even
+    /// projected (punctuation still flows, remapped), under `PassAll` each
+    /// row is projected with no guard probe, and under `Mixed` each takes
+    /// the exact per-tuple path.
     ///
     /// ```
     /// use dsms_engine::{Operator, OperatorContext, Page, StreamItem};
@@ -139,40 +136,10 @@ impl Operator for Project {
         let decision = self.registry.decide_batch(page.tuple_count(), |c| {
             indices.get(c).and_then(|&src| page.column_summary(src))
         });
-        match decision {
-            BatchGuardDecision::SuppressAll => {
-                for item in page {
-                    if let StreamItem::Punctuation(punctuation) = item {
-                        self.on_punctuation(input, punctuation, ctx)?;
-                    }
-                }
-            }
-            BatchGuardDecision::PassAll => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => {
-                            let projected =
-                                tuple.project(&self.indices, self.output_schema.clone())?;
-                            ctx.emit(0, projected);
-                        }
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-            BatchGuardDecision::Mixed => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        guarded_pass(self, input, page, decision, ctx, |project, tuple, ctx| {
+            ctx.emit(0, tuple.project(&project.indices, project.output_schema.clone())?);
+            Ok(())
+        })
     }
 
     fn on_punctuation(

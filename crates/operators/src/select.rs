@@ -7,13 +7,12 @@
 //! conjuncts of the condition — and because the input and output schemas are
 //! identical, safe propagation is the identity rewrite.
 
+use crate::common::guarded_pass;
 use crate::common::TuplePredicate;
-use dsms_engine::{
-    EngineError, EngineResult, Operator, OperatorContext, Page, StateEntry, StreamItem,
-};
+use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, Page, StateEntry};
 use dsms_feedback::{
-    characterize_select, BatchGuardDecision, FeedbackIntent, FeedbackPunctuation, FeedbackRegistry,
-    FeedbackRoles, GuardDecision,
+    characterize_select, FeedbackIntent, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
+    GuardDecision,
 };
 use dsms_punctuation::Punctuation;
 use dsms_types::{SchemaRef, Tuple};
@@ -95,15 +94,10 @@ impl Operator for Select {
     }
 
     /// Columnar kernel: classifies the whole page against the feedback
-    /// guards via the page's column summaries, then evaluates the predicate
-    /// over the row lane in one tight loop.
-    ///
-    /// * [`BatchGuardDecision::SuppressAll`] — skip every row wholesale
-    ///   (punctuation still flows).
-    /// * [`BatchGuardDecision::PassAll`] — evaluate only the select
-    ///   predicate; no per-tuple guard probes run.
-    /// * [`BatchGuardDecision::Mixed`] — fall back to the exact per-tuple
-    ///   path.
+    /// guards via the page's column summaries, then walks it once.  A
+    /// `SuppressAll` page skips every row (punctuation still flows), a
+    /// `PassAll` page evaluates only the select predicate, with no per-tuple
+    /// guard probe, and a `Mixed` page takes the exact per-tuple path.
     ///
     /// ```
     /// use dsms_engine::{Operator, OperatorContext, Page, StreamItem};
@@ -133,40 +127,12 @@ impl Operator for Select {
     /// ```
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
-        match decision {
-            BatchGuardDecision::SuppressAll => {
-                for item in page {
-                    if let StreamItem::Punctuation(punctuation) = item {
-                        self.on_punctuation(input, punctuation, ctx)?;
-                    }
-                }
+        guarded_pass(self, input, page, decision, ctx, |select, tuple, ctx| {
+            if select.predicate.eval(&tuple) {
+                ctx.emit(0, tuple);
             }
-            BatchGuardDecision::PassAll => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => {
-                            if self.predicate.eval(&tuple) {
-                                ctx.emit(0, tuple);
-                            }
-                        }
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-            BatchGuardDecision::Mixed => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Forwards the punctuation, first dropping the guards it releases.
@@ -257,6 +223,7 @@ impl Operator for Select {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, Timestamp, Value};
 

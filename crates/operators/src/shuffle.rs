@@ -21,11 +21,11 @@
 //!   meet).  The released subset is also mounted as an input guard, so the
 //!   shuffle stops routing tuples the whole replica group has disclaimed.
 
+use crate::common::guarded_pass;
 use crate::elastic::ElasticController;
-use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry, StreamItem};
+use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry};
 use dsms_feedback::{
-    BatchGuardDecision, FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
-    GuardDecision,
+    FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, GuardDecision,
 };
 use dsms_punctuation::{Punctuation, StageDirective};
 use dsms_types::{FixedHasher, SchemaRef, Tuple};
@@ -395,39 +395,11 @@ impl Operator for Shuffle {
             elastic.controller.report_load(ctx.queue_depth());
         }
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
-        match decision {
-            BatchGuardDecision::SuppressAll => {
-                for item in page {
-                    if let StreamItem::Punctuation(punctuation) = item {
-                        self.on_punctuation(input, punctuation, ctx)?;
-                    }
-                }
-            }
-            BatchGuardDecision::PassAll => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => {
-                            let route = self.route_of(&tuple)?;
-                            ctx.emit(route, tuple);
-                        }
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-            BatchGuardDecision::Mixed => {
-                for item in page {
-                    match item {
-                        StreamItem::Tuple(tuple) => self.on_tuple(input, tuple, ctx)?,
-                        StreamItem::Punctuation(punctuation) => {
-                            self.on_punctuation(input, punctuation, ctx)?
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        guarded_pass(self, input, page, decision, ctx, |shuffle, tuple, ctx| {
+            let route = shuffle.route_of(&tuple)?;
+            ctx.emit(route, tuple);
+            Ok(())
+        })
     }
 
     fn on_punctuation(
@@ -541,6 +513,7 @@ struct ShuffleSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, Timestamp, Value};
 

@@ -11,13 +11,18 @@
 //! closes empty.
 
 use crate::join::SymmetricHashJoin;
-use dsms_engine::{EngineResult, Operator, OperatorContext};
+use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles, FeedbackStats};
 use dsms_punctuation::{Pattern, PatternItem, Punctuation};
 use dsms_types::{SchemaRef, StreamDuration, Timestamp, Tuple, Value};
 use std::collections::HashSet;
 
 /// A symmetric hash join that tells its build input about empty probe windows.
+///
+/// A [`Wrapper`](dsms_engine::Wrapper) over the join: hooks it does not
+/// override — feedback, schemas, state export and import — reach the inner
+/// join.  It is not restartable: the probe-window presence set is not
+/// checkpointed, so a restart would report non-empty windows as empty.
 pub struct ThriftyJoin {
     name: String,
     inner: SymmetricHashJoin,
@@ -73,25 +78,27 @@ impl ThriftyJoin {
     }
 }
 
-impl Operator for ThriftyJoin {
-    fn feedback_roles(&self) -> FeedbackRoles {
-        self.inner.feedback_roles().with_producer()
+impl dsms_engine::Wrapper for ThriftyJoin {
+    type Inner = SymmetricHashJoin;
+
+    fn inner(&self) -> &SymmetricHashJoin {
+        &self.inner
     }
 
-    fn schema_in(&self, input: usize) -> Option<SchemaRef> {
-        self.inner.schema_in(input)
-    }
-
-    fn schema_out(&self, output: usize) -> Option<SchemaRef> {
-        self.inner.schema_out(output)
+    fn inner_mut(&mut self) -> &mut SymmetricHashJoin {
+        &mut self.inner
     }
 
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn inputs(&self) -> usize {
-        2
+    fn feedback_roles(&self) -> FeedbackRoles {
+        self.inner.feedback_roles().with_producer()
+    }
+
+    fn restartable(&self) -> bool {
+        false
     }
 
     fn on_tuple(
@@ -106,6 +113,11 @@ impl Operator for ThriftyJoin {
             }
         }
         self.inner.on_tuple(input, tuple, ctx)
+    }
+
+    /// Item by item through this wrapper, so every probe-side item is seen.
+    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+        dsms_engine::replay_page(self, input, page, ctx)
     }
 
     fn on_punctuation(
@@ -133,19 +145,6 @@ impl Operator for ThriftyJoin {
             }
         }
         self.inner.on_punctuation(input, punctuation, ctx)
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        self.inner.on_feedback(output, feedback, ctx)
-    }
-
-    fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
-        self.inner.on_flush(ctx)
     }
 
     fn feedback_stats(&self) -> Option<FeedbackStats> {

@@ -89,7 +89,7 @@ pub mod prelude {
         ElasticPolicy, ElasticReplica, FanoutController, FaultSpec, GeneratorSource, ImpatientJoin,
         Impute, Merge, OnDemandGate, Pace, Prioritizer, Project, QualityFilter, Select,
         SharedFanout, Shuffle, Split, StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink,
-        TuplePredicate, Union, VecSource, WindowAggregate,
+        TuplePredicate, VecSource, WindowAggregate,
     };
     pub use dsms_punctuation::{
         CompiledPattern, Pattern, PatternItem, Punctuation, PunctuationScheme,
@@ -183,7 +183,6 @@ mod tests {
             schema.clone(),
             TuplePredicate::new("v >= 2", |t| t.int("v").unwrap_or(0) >= 2),
         );
-        let _ = Union::new("union", schema.clone(), 2);
         let _ = Prioritizer::new("prio", schema.clone(), 4);
         let _ = QualityFilter::new(
             "qf",
