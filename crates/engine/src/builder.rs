@@ -356,8 +356,9 @@ impl Stream {
     /// node is a dedupe-able chain — see [`QueryPlan::prefix_chain`].
     ///
     /// Two streams with equal prefix fingerprints were produced by identical
-    /// `source → select → project` chains, so a multi-query manager can
-    /// execute the chain once and fan its output out to both consumers.
+    /// chains of fingerprinted operators (select, project, window
+    /// aggregate), so a multi-query manager can execute the chain once and
+    /// fan its output out to both consumers.
     /// `None` means the path is not dedupe-able (an unfingerprinted or
     /// multi-port operator occurs on it).
     pub fn prefix_fingerprint(&self) -> Option<u64> {

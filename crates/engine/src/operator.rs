@@ -531,16 +531,19 @@ pub trait Operator: Send {
     /// operator supports it.
     ///
     /// Two operator instances with equal fingerprints must be observably
-    /// interchangeable: same name, same configuration, same output for the
-    /// same input.  A multi-query manager uses the fingerprints to recognize
-    /// identical `source → select → project` prefixes across independently
-    /// built plans and execute them once behind a shared fan-out.  The
-    /// default — `None` — marks the operator as not dedupe-able, which is
-    /// always safe: a prefix chain simply ends at the first unfingerprinted
-    /// operator.  Stateless operators whose behaviour is fully determined by
-    /// their constructor arguments (select, project) should hash those
-    /// arguments with [`dsms_types::FixedHasher`] so fingerprints are stable
-    /// across processes.
+    /// interchangeable: same configuration, same output and same feedback
+    /// behaviour for the same input.  A multi-query manager uses the
+    /// fingerprints to recognize common prefixes across independently built
+    /// plans — `source → select → aggregate`, say — and execute each
+    /// distinct prefix operator once behind a shared fan-out, stateful
+    /// operators included.  The default — `None` — marks the operator as
+    /// not dedupe-able, which is always safe: a prefix chain simply ends at
+    /// the first unfingerprinted operator.  Operators whose behaviour is
+    /// fully determined by their constructor arguments (select, project,
+    /// window aggregate) should hash those arguments with
+    /// [`dsms_types::FixedHasher`] so fingerprints are stable across
+    /// processes, and should leave out what does not change behaviour, such
+    /// as a per-query name.
     fn fingerprint(&self) -> Option<u64> {
         None
     }

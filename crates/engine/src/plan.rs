@@ -622,15 +622,18 @@ impl QueryPlan {
     ///
     /// The chain begins at `from` (usually a source) and extends through
     /// single-input/single-output operators that declare an
-    /// [`Operator::fingerprint`], following the unique data edge out of each
-    /// node.  Each entry's hash folds the node's own fingerprint into the
-    /// hash of everything before it, so two plans whose chains end in equal
-    /// hashes at equal depths have **identical** prefixes and can share one
-    /// execution of them.  The chain ends — and the returned vector stops —
-    /// at the first operator that is unfingerprinted (subscription wrappers,
-    /// sinks, stateful operators), has more than one input or output (joins,
-    /// splits), or feeds more than one consumer.  Returns an empty vector
-    /// when `from` itself declares no fingerprint.
+    /// [`Operator::fingerprint`] — stateless ones such as select and project
+    /// and stateful ones such as the window aggregate alike — following the
+    /// unique data edge out of each node.  Each entry's hash folds the node's
+    /// own fingerprint into the hash of everything before it, so two plans
+    /// with equal hashes at equal depths have **identical** prefixes up to
+    /// that depth and can share one execution of them; a multi-query manager
+    /// shares every such common prefix, not only whole chains.  The chain
+    /// ends — and the returned vector stops — after the first operator that
+    /// feeds more than one consumer, and before the first that is
+    /// unfingerprinted (subscription wrappers, sinks, joins) or has more
+    /// than one input or output (splits).  Returns an empty vector when
+    /// `from` itself declares no fingerprint.
     pub fn prefix_chain(&self, from: NodeId) -> Vec<(NodeId, u64)> {
         use std::hash::{Hash, Hasher};
         let mut chain = Vec::new();

@@ -2,8 +2,8 @@
 //!
 //! Multi-query execution for the feedback-punctuation DSMS: a
 //! [`PipelineManager`] runs many standing queries against a shared set of
-//! named long-lived sources, deduplicating identical plan prefixes while
-//! keeping each query's feedback strictly isolated from its siblings.
+//! named long-lived sources, running each distinct plan prefix operator once
+//! while keeping each query's feedback strictly isolated from its siblings.
 //!
 //! A DSMS serving many standing queries cannot afford one source scan per
 //! query: monitoring deployments routinely register dozens of variations of
@@ -11,16 +11,19 @@
 //!
 //! * lets queries reference manager-owned sources by name through
 //!   [`SourceRef`] placeholders instead of instantiating their own;
-//! * recognizes identical `source → select → project` prefixes across
-//!   independently built plans via [`dsms_engine::Operator::fingerprint`]
-//!   and executes each distinct prefix **once**, fanning the result out
-//!   through [`dsms_operators::SharedFanout`] (zero-copy page forwarding —
-//!   sharing a page is a refcount bump, never a tuple copy);
+//! * recognizes common prefixes across independently built plans via
+//!   [`dsms_engine::Operator::fingerprint`] — selects, projects and window
+//!   aggregates, stateful operators included — and splices them as a prefix
+//!   trie, so each distinct prefix operator executes **once** and
+//!   [`dsms_operators::SharedFanout`]s split the stream only where queries
+//!   diverge (zero-copy page forwarding — sharing a page is a refcount
+//!   bump, never a tuple copy);
 //! * keeps feedback per query: each fan-out port has its own scoped guard
 //!   registry, so one query's assumed/desired punctuations act on its branch
 //!   alone, and source-bound feedback crosses the fan-out only when the
 //!   [`dsms_feedback::FeedbackMerge`] lattice proves every active sharer
-//!   agrees;
+//!   agrees — so a shared aggregate purges state only for patterns every
+//!   sharer assumes;
 //! * attaches and detaches queries **mid-stream** at punctuation boundaries
 //!   (the same consistent cut the elastic Migrate/Ack/Commit handshake
 //!   uses), so a late-registered query starts from a punctuation-delimited
@@ -50,7 +53,8 @@
 //! manager.add_source("feed", VecSource::new("feed", tuples))?;
 //!
 //! // Two queries over the same named source, with the same filter prefix:
-//! // the manager runs source and filter once and fans out.
+//! // the manager runs source and filter once and fans out.  Had both gone
+//! // on to the same window aggregate, that would run once too.
 //! for query in ["evens-a", "evens-b"] {
 //!     let builder = StreamBuilder::new();
 //!     let evens = TuplePredicate::new("v is even", |t| {

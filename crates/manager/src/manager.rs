@@ -3,13 +3,13 @@
 use crate::source_ref::SourceRef;
 use dsms_engine::{Edge, NodeId};
 use dsms_engine::{
-    EngineError, EngineResult, ExecutionReport, Operator, PlanNode, PooledExecutor, QueryPlan,
-    SyncExecutor,
+    EngineError, EngineResult, ExecutionReport, Operator, PlanNode, PlanParts, PooledExecutor,
+    QueryPlan, RecoveryPolicy, SyncExecutor,
 };
 use dsms_feedback::FeedbackStats;
 use dsms_operators::{FanoutController, FanoutDirective, SharedFanout};
 use dsms_types::SchemaRef;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -121,7 +121,7 @@ impl fmt::Display for ManagerSummary {
 #[derive(Debug, Clone)]
 pub struct ManagerOutcome {
     /// The raw report of the master plan (scoped operator names intact) —
-    /// the shared spine's metrics live here.
+    /// the shared operators' metrics live here.
     pub master: ExecutionReport,
     /// Per-query reports, in registration order.
     pub queries: Vec<QueryReport>,
@@ -141,11 +141,13 @@ struct Registered {
     name: String,
     source: String,
     /// The dismantled plan; taken (consumed) by [`PipelineManager::start`].
-    parts: Option<dsms_engine::PlanParts>,
+    parts: Option<PlanParts>,
     /// Node index of the [`SourceRef`] placeholder within `parts`.
     source_idx: usize,
-    /// The maximal fingerprinted prefix chain — `(node index, cumulative
-    /// hash)`, first entry the placeholder itself.
+    /// The shareable prefix chain — `(node index, cumulative hash)`, first
+    /// entry the placeholder itself: the maximal fingerprinted chain, cut
+    /// before the first node with a declared recovery policy or quarantine
+    /// flag.
     chain: Vec<(usize, u64)>,
     /// Initial fan-out membership installed at splice time.
     attached: bool,
@@ -153,17 +155,21 @@ struct Registered {
     schedule: Vec<(bool, u64)>,
 }
 
+/// A query's membership port: the fan-out controller owning it, and the port
+/// number.
+type MembershipPort = (Arc<FanoutController>, usize);
+
 struct Running {
     handle: JoinHandle<EngineResult<ExecutionReport>>,
-    /// Per query (registration order): the fan-out controller owning its
-    /// port, and the port number.
-    controls: Vec<(Arc<FanoutController>, usize)>,
+    /// Per query (registration order): its membership port.
+    controls: Vec<MembershipPort>,
 }
 
 /// Runs many standing queries against shared named sources in one engine
-/// execution: identical plan prefixes are deduplicated behind
-/// [`SharedFanout`]s, feedback stays per-query, and queries attach/detach at
-/// punctuation boundaries while the stream runs.  See the crate docs for the
+/// execution: each distinct plan prefix operator runs once, fanned out
+/// through [`SharedFanout`]s where queries diverge, feedback stays
+/// per-query, and queries attach/detach at punctuation boundaries while the
+/// stream runs.  See the crate docs for the
 /// architecture and `docs/PIPELINES.md` for the lifecycle contract.
 ///
 /// A manager instance drives **one** run: `add_source` → `register`… →
@@ -304,8 +310,9 @@ impl PipelineManager {
     ///
     /// The plan must read exactly one source node, and that node must be a
     /// [`SourceRef`] to a source this manager owns.  The plan is dismantled
-    /// immediately; at [`Self::start`] its maximal fingerprinted prefix is
-    /// deduplicated against the other registered queries.
+    /// immediately; at [`Self::start`] every fingerprinted operator of its
+    /// prefix chain that another registered query also asks for is
+    /// instantiated once for both.
     pub fn register(&mut self, name: impl Into<String>, plan: QueryPlan) -> EngineResult<()> {
         self.register_with(name.into(), plan, true)
     }
@@ -344,9 +351,18 @@ impl PipelineManager {
             )));
         }
         let source_node = sources[0];
-        let chain: Vec<(usize, u64)> =
+        let mut chain: Vec<(usize, u64)> =
             plan.prefix_chain(source_node).into_iter().map(|(id, h)| (id.index(), h)).collect();
         let parts = plan.into_parts();
+        // A shared node serves every sharer, so it cannot restart or be
+        // quarantined for one of them: the chain ends before the first node
+        // that declares either, and that node stays private with its policy.
+        if let Some(end) = chain.iter().skip(1).position(|&(idx, _)| {
+            parts.recovery.get(idx).is_some_and(|&p| p != RecoveryPolicy::default())
+                || parts.quarantine.get(idx).copied().unwrap_or(false)
+        }) {
+            chain.truncate(end + 1);
+        }
         let source_idx = source_node.index();
         let source = match parts.nodes[source_idx].operator.shared_source() {
             Some(s) => s.to_string(),
@@ -453,22 +469,48 @@ impl PipelineManager {
     }
 
     /// Splices the registered queries into one master plan — shared sources
-    /// instantiated once, identical fingerprinted prefixes deduplicated
-    /// behind [`SharedFanout`]s — and starts executing it on a background
-    /// thread.  Returns once execution has started; use [`Self::attach`] /
-    /// [`Self::detach`] to steer membership while it runs and
-    /// [`Self::drain`] to wait for completion and collect the reports.
+    /// instantiated once, every distinct fingerprinted prefix instantiated
+    /// once behind [`SharedFanout`]s — and starts executing it on a
+    /// background thread.  Returns once execution has started; use
+    /// [`Self::attach`] / [`Self::detach`] to steer membership while it runs
+    /// and [`Self::drain`] to wait for completion and collect the reports.
     pub fn start(&mut self, kind: ExecutorKind) -> EngineResult<()> {
         if self.running.is_some() {
             return Err(invalid("the manager is already running"));
         }
+        let (master, controls, duplicates) = self.splice()?;
+        let handle = std::thread::Builder::new()
+            .name("dsms-manager".into())
+            .spawn(move || {
+                let report = match kind {
+                    ExecutorKind::Sync => SyncExecutor::run(master),
+                    ExecutorKind::Pooled => PooledExecutor::run(master),
+                };
+                // Dropping dozens of duplicate operators takes tens of µs,
+                // so it happens here rather than on the caller's start path.
+                drop(duplicates);
+                report
+            })
+            .map_err(|e| EngineError::ExecutionFailed {
+                detail: format!("failed to spawn the manager's execution thread: {e}"),
+            })?;
+        self.running = Some(Running { handle, controls });
+        Ok(())
+    }
+
+    /// Builds the validated master plan and each query's membership port,
+    /// and hands back the plan nodes sharing made redundant.
+    ///
+    /// Per source, the queries' prefix chains form a trie keyed by their
+    /// cumulative hashes: the source is the root, and each distinct
+    /// `(depth, hash)` is one operator instance.  See [`Splice`].
+    fn splice(&mut self) -> EngineResult<(QueryPlan, Vec<MembershipPort>, Vec<PlanNode>)> {
         if self.queries.is_empty() {
             return Err(invalid("no queries are registered"));
         }
         if self.queries.iter().any(|q| q.parts.is_none()) {
             return Err(invalid("a manager instance drives one run and this one already ran"));
         }
-
         let mut master = QueryPlan::new();
         if let Some(c) = self.page_capacity {
             master = master.with_page_capacity(c);
@@ -479,229 +521,34 @@ impl PipelineManager {
         if let Some(w) = self.pool_size {
             master = master.with_worker_pool(w);
         }
-
-        let mut controls: Vec<Option<(Arc<FanoutController>, usize)>> =
-            (0..self.queries.len()).map(|_| None).collect();
-
-        for source_pos in 0..self.sources.len() {
-            let source_name = self.sources[source_pos].0.clone();
-            let members_all: Vec<usize> = (0..self.queries.len())
-                .filter(|&qi| self.queries[qi].source == source_name)
+        let mut splice = Splice {
+            master,
+            source: String::new(),
+            plans: self.queries.iter_mut().map(|q| q.parts.take().map(Pieces::from)).collect(),
+            queries: &self.queries,
+            controls: (0..self.queries.len()).map(|_| None).collect(),
+            duplicates: Vec::new(),
+        };
+        for (source_name, operator) in &mut self.sources {
+            let members: Vec<usize> = (0..splice.queries.len())
+                .filter(|&qi| splice.queries[qi].source == *source_name)
                 .collect();
-            if members_all.is_empty() {
+            if members.is_empty() {
                 continue;
             }
-            let source_op = self.sources[source_pos]
-                .1
-                .take()
-                .expect("sources are consumed exactly once per run");
-            let source_schema = source_op
+            let source_op = operator.take().expect("sources are consumed exactly once per run");
+            let schema = source_op
                 .schema_out(0)
                 .expect("add_source requires sources to declare their schema");
-
-            // Group the sharers by their maximal identical prefix: equal
-            // chain length + equal cumulative hash ⇒ identical operator
-            // sequences (partial overlaps share only the source — the dedup
-            // unit is the *maximal* chain, documented in docs/PIPELINES.md).
-            let mut groups: Vec<((usize, u64), Vec<usize>)> = Vec::new();
-            for &qi in &members_all {
-                let q = &self.queries[qi];
-                let key = match q.chain.last() {
-                    Some(&(_, hash)) => (q.chain.len(), hash),
-                    // Unfingerprinted source node: not dedupe-able, so give
-                    // the query a group of its own.
-                    None => (0, qi as u64),
-                };
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(qi),
-                    None => groups.push((key, vec![qi])),
-                }
-            }
-
-            let source_id = master.add_boxed(source_op);
-            let controller0 = FanoutController::shared();
-            let port_flags: Vec<bool> = groups
-                .iter()
-                .map(|(_, members)| {
-                    // A singleton's F0 port is the query's own membership; a
-                    // shared group's port stays attached so the spine keeps
-                    // serving whichever members are.
-                    members.len() > 1 || self.queries[members[0]].attached
-                })
-                .collect();
-            let fanout0_id = master.add(
-                SharedFanout::new(
-                    format!("fanout/{source_name}"),
-                    source_schema.clone(),
-                    groups.len(),
-                )
-                .with_controller(controller0.clone())
-                .with_initial(&port_flags),
-            );
-            master.connect(source_id, 0, fanout0_id, 0)?;
-
-            for (group_no, (_, members)) in groups.iter().enumerate() {
-                if members.len() == 1 {
-                    // Shares the source only: the whole plan minus the
-                    // placeholder hangs off this query's private F0 port.
-                    let qi = members[0];
-                    let (query_name, parts, source_idx, schedule) = {
-                        let q = &mut self.queries[qi];
-                        (
-                            q.name.clone(),
-                            q.parts.take().expect("checked above"),
-                            q.source_idx,
-                            q.schedule.clone(),
-                        )
-                    };
-                    let mut slots: Vec<Option<PlanNode>> =
-                        parts.nodes.into_iter().map(Some).collect();
-                    slots[source_idx] = None;
-                    splice_suffix(
-                        &mut master,
-                        &query_name,
-                        slots,
-                        parts.edges,
-                        &parts.recovery,
-                        &parts.quarantine,
-                        source_idx,
-                        (fanout0_id, group_no),
-                    )?;
-                    controls[qi] = Some((controller0.clone(), group_no));
-                    for (attach, boundary) in schedule {
-                        controller0.post(FanoutDirective {
-                            port: group_no,
-                            attach,
-                            at_boundary: Some(boundary),
-                        });
-                    }
-                } else {
-                    // ≥ 2 identical prefixes: instantiate the chain once
-                    // (from the first member's parts) as a shared spine, and
-                    // fan out per member behind it.
-                    let owner = members[0];
-                    let chain_idx: Vec<usize> =
-                        self.queries[owner].chain.iter().skip(1).map(|&(i, _)| i).collect();
-                    let member_flags: Vec<bool> =
-                        members.iter().map(|&qi| self.queries[qi].attached).collect();
-                    let (owner_name, owner_parts, owner_source_idx, owner_schedule) = {
-                        let q = &mut self.queries[owner];
-                        (
-                            q.name.clone(),
-                            q.parts.take().expect("checked above"),
-                            q.source_idx,
-                            q.schedule.clone(),
-                        )
-                    };
-                    let mut slots: Vec<Option<PlanNode>> =
-                        owner_parts.nodes.into_iter().map(Some).collect();
-                    slots[owner_source_idx] = None;
-                    let mut spine: Vec<NodeId> = Vec::new();
-                    let mut spine_schema = source_schema.clone();
-                    for &chain_node in &chain_idx {
-                        let node = slots[chain_node].take().expect("chain nodes are distinct");
-                        if let Some(schema) = node.operator.schema_out(0) {
-                            spine_schema = schema;
-                        }
-                        let name = format!("shared/{source_name}/{group_no}/{}", node.name);
-                        let id = master.add_node(PlanNode { name, ..node });
-                        match spine.last() {
-                            Some(&prev) => master.connect(prev, 0, id, 0)?,
-                            None => master.connect(fanout0_id, group_no, id, 0)?,
-                        }
-                        spine.push(id);
-                    }
-                    let group_controller = FanoutController::shared();
-                    let group_fanout_id = master.add(
-                        SharedFanout::new(
-                            format!("fanout/{source_name}/{group_no}"),
-                            spine_schema,
-                            members.len(),
-                        )
-                        .with_controller(group_controller.clone())
-                        .with_initial(&member_flags),
-                    );
-                    match spine.last() {
-                        Some(&tail) => master.connect(tail, 0, group_fanout_id, 0)?,
-                        None => master.connect(fanout0_id, group_no, group_fanout_id, 0)?,
-                    }
-                    let owner_boundary = chain_idx.last().copied().unwrap_or(owner_source_idx);
-                    splice_suffix(
-                        &mut master,
-                        &owner_name,
-                        slots,
-                        owner_parts.edges,
-                        &owner_parts.recovery,
-                        &owner_parts.quarantine,
-                        owner_boundary,
-                        (group_fanout_id, 0),
-                    )?;
-                    controls[owner] = Some((group_controller.clone(), 0));
-                    for (attach, boundary) in owner_schedule {
-                        group_controller.post(FanoutDirective {
-                            port: 0,
-                            attach,
-                            at_boundary: Some(boundary),
-                        });
-                    }
-                    for (port, &qi) in members.iter().enumerate().skip(1) {
-                        let (query_name, parts, own_chain, schedule) = {
-                            let q = &mut self.queries[qi];
-                            (
-                                q.name.clone(),
-                                q.parts.take().expect("checked above"),
-                                q.chain.iter().map(|&(i, _)| i).collect::<Vec<usize>>(),
-                                q.schedule.clone(),
-                            )
-                        };
-                        let mut slots: Vec<Option<PlanNode>> =
-                            parts.nodes.into_iter().map(Some).collect();
-                        for &chain_node in &own_chain {
-                            slots[chain_node] = None;
-                        }
-                        let boundary =
-                            own_chain.last().copied().unwrap_or(self.queries[qi].source_idx);
-                        splice_suffix(
-                            &mut master,
-                            &query_name,
-                            slots,
-                            parts.edges,
-                            &parts.recovery,
-                            &parts.quarantine,
-                            boundary,
-                            (group_fanout_id, port),
-                        )?;
-                        controls[qi] = Some((group_controller.clone(), port));
-                        for (attach, boundary) in schedule {
-                            group_controller.post(FanoutDirective {
-                                port,
-                                attach,
-                                at_boundary: Some(boundary),
-                            });
-                        }
-                    }
-                }
-            }
+            splice.source.clone_from(source_name);
+            let source_id = splice.master.add_boxed(source_op);
+            splice.branch(&members, 0, source_id, schema, &[])?;
         }
-
+        let Splice { master, controls, duplicates, .. } = splice;
         master.validate()?;
-        let handle = std::thread::Builder::new()
-            .name("dsms-manager".into())
-            .spawn(move || match kind {
-                ExecutorKind::Sync => SyncExecutor::run(master),
-                ExecutorKind::Pooled => PooledExecutor::run(master),
-            })
-            .map_err(|e| EngineError::ExecutionFailed {
-                detail: format!("failed to spawn the manager's execution thread: {e}"),
-            })?;
-        self.running = Some(Running {
-            handle,
-            controls: controls
-                .into_iter()
-                .map(|c| c.expect("every registered query is spliced"))
-                .collect(),
-        });
-        Ok(())
+        let controls =
+            controls.into_iter().map(|c| c.expect("every registered query is spliced")).collect();
+        Ok((master, controls, duplicates))
     }
 
     /// Waits for the running master plan to finish and splits the result into
@@ -782,33 +629,173 @@ impl PipelineManager {
     }
 
     /// Shared-prefix accounting over the registered queries: `(instances
-    /// saved by sharing, instances requested)`.
+    /// saved by sharing, instances requested)`.  Each query requests its
+    /// chain (at least the source); each distinct trie node — the source
+    /// once, then one per distinct `(depth, cumulative hash)` — is built
+    /// once, and everything requested but not built was saved.
     fn prefix_accounting(&self) -> (usize, usize) {
-        let total: usize = self.queries.iter().map(|q| q.chain.len().max(1)).sum();
-        let mut hits = 0;
-        for (source_name, _) in &self.sources {
-            let members: Vec<&Registered> =
-                self.queries.iter().filter(|q| q.source == *source_name).collect();
-            if members.is_empty() {
-                continue;
-            }
-            // One source instance serves all sharers…
-            hits += members.len() - 1;
-            // …and each group of identical chains instantiates the ops
-            // beyond the source once.
-            let mut groups: HashMap<(usize, u64), usize> = HashMap::new();
-            for query in &members {
-                if let Some(&(_, hash)) = query.chain.last() {
-                    *groups.entry((query.chain.len(), hash)).or_insert(0) += 1;
-                }
-            }
-            for ((len, _), count) in groups {
-                if count > 1 && len > 1 {
-                    hits += (count - 1) * (len - 1);
-                }
+        let requested: usize = self.queries.iter().map(|q| q.chain.len().max(1)).sum();
+        let mut built: HashSet<(&str, usize, u64)> = HashSet::new();
+        for query in &self.queries {
+            built.insert((&query.source, 0, 0));
+            for (depth, &(_, hash)) in query.chain.iter().enumerate().skip(1) {
+                built.insert((&query.source, depth, hash));
             }
         }
-        (hits, total)
+        (requested - built.len(), requested)
+    }
+}
+
+/// The master plan under construction, spliced one prefix trie per source.
+///
+/// A trie node is one operator every member query asks for at the same
+/// depth with the same cumulative hash.  A node with two or more members is
+/// instantiated once, from the first member's [`PlanNode`], as
+/// `shared/{src}/{path}/{op}`; a member alone at a node keeps that node and
+/// everything after it as its private suffix, `{query}/{op}`.  A
+/// [`SharedFanout`] `fanout/{src}/{path}` is inserted wherever the members
+/// diverge — always after the source (`fanout/{src}`) — and `{path}` is the
+/// list of fan-out ports crossed below `fanout/{src}`.  A query's membership
+/// port is the one leading into its private suffix; ports leading into a
+/// shared node stay attached for as long as the run lasts.
+struct Splice<'a> {
+    master: QueryPlan,
+    /// The name of the source being spliced.
+    source: String,
+    queries: &'a [Registered],
+    /// Each query's dismantled plan, index-parallel with `queries`; taken
+    /// when the query's private suffix is spliced.
+    plans: Vec<Option<Pieces>>,
+    /// Each query's membership port, once spliced.
+    controls: Vec<Option<MembershipPort>>,
+    /// The placeholders and prefix nodes replaced by shared instances.
+    duplicates: Vec<PlanNode>,
+}
+
+/// A registered plan taken apart for the splice: its node slots, emptied as
+/// nodes are spliced or dropped as duplicates, plus its edges and the
+/// index-parallel recovery policies and quarantine flags.
+struct Pieces {
+    nodes: Vec<Option<PlanNode>>,
+    edges: Vec<Edge>,
+    recovery: Vec<RecoveryPolicy>,
+    quarantine: Vec<bool>,
+}
+
+impl From<PlanParts> for Pieces {
+    fn from(parts: PlanParts) -> Self {
+        Pieces {
+            nodes: parts.nodes.into_iter().map(Some).collect(),
+            edges: parts.edges,
+            recovery: parts.recovery,
+            quarantine: parts.quarantine,
+        }
+    }
+}
+
+impl Splice<'_> {
+    /// `{kind}/{src}`, then `/{port}` for each fan-out port in `path`.
+    fn name(&self, kind: &str, path: &[usize]) -> String {
+        let mut name = format!("{kind}/{}", self.source);
+        for port in path {
+            name.push_str(&format!("/{port}"));
+        }
+        name
+    }
+
+    /// Wires what follows the trie node at `depth` shared by `members`
+    /// (registration order), whose output is node `out` with `schema`.
+    fn branch(
+        &mut self,
+        members: &[usize],
+        depth: usize,
+        out: NodeId,
+        schema: SchemaRef,
+        path: &[usize],
+    ) -> EngineResult<()> {
+        // One group per next operator, in order of first appearance; a member
+        // whose chain ends here is a group of its own.
+        let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
+        for &qi in members {
+            let next = self.queries[qi].chain.get(depth + 1).map(|&(_, hash)| hash);
+            match groups.iter_mut().find(|(key, _)| next.is_some() && *key == next) {
+                Some((_, group)) => group.push(qi),
+                None => groups.push((next, vec![qi])),
+            }
+        }
+        if depth > 0 && groups.len() == 1 {
+            // Every member goes on through the same operator: no fan-out.
+            return self.shared(&groups[0].1, depth + 1, (out, 0), schema, path);
+        }
+        let controller = FanoutController::shared();
+        let initial: Vec<bool> = groups
+            .iter()
+            .map(|(_, group)| group.len() > 1 || self.queries[group[0]].attached)
+            .collect();
+        let fanout = self.master.add(
+            SharedFanout::new(self.name("fanout", path), schema.clone(), groups.len())
+                .with_controller(controller.clone())
+                .with_initial(&initial),
+        );
+        self.master.connect(out, 0, fanout, 0)?;
+        for (port, (_, group)) in groups.iter().enumerate() {
+            if let [qi] = group[..] {
+                self.private(qi, depth, (fanout, port), &controller)?;
+            } else {
+                let mut below = path.to_vec();
+                below.push(port);
+                self.shared(group, depth + 1, (fanout, port), schema.clone(), &below)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Instantiates the trie node at `depth` shared by `members` once, fed
+    /// from `from`, and wires what follows it.
+    fn shared(
+        &mut self,
+        members: &[usize],
+        depth: usize,
+        from: (NodeId, usize),
+        schema: SchemaRef,
+        path: &[usize],
+    ) -> EngineResult<()> {
+        let owner = members[0];
+        let idx = self.queries[owner].chain[depth].0;
+        let node = self.plans[owner]
+            .as_mut()
+            .and_then(|plan| plan.nodes[idx].take())
+            .expect("a trie node is instantiated once, before its members' suffixes");
+        let schema = node.operator.schema_out(0).unwrap_or(schema);
+        let name = format!("{}/{}", self.name("shared", path), node.name);
+        let id = self.master.add_node(PlanNode { name, ..node });
+        self.master.connect(from.0, from.1, id, 0)?;
+        self.branch(members, depth, id, schema, path)
+    }
+
+    /// Splices query `qi`'s private suffix — everything after its trie node
+    /// at `depth` — behind its membership port, and posts its scripted
+    /// directives there.
+    fn private(
+        &mut self,
+        qi: usize,
+        depth: usize,
+        port: (NodeId, usize),
+        controller: &Arc<FanoutController>,
+    ) -> EngineResult<()> {
+        let query = &self.queries[qi];
+        let mut plan = self.plans[qi].take().expect("every query is spliced once");
+        let prefix = query.chain.iter().take(depth + 1).map(|&(idx, _)| idx);
+        for idx in std::iter::once(query.source_idx).chain(prefix) {
+            self.duplicates.extend(plan.nodes[idx].take());
+        }
+        let boundary = query.chain.get(depth).map_or(query.source_idx, |&(idx, _)| idx);
+        splice_suffix(&mut self.master, &query.name, plan, boundary, port)?;
+        for &(attach, at) in &query.schedule {
+            controller.post(FanoutDirective { port: port.1, attach, at_boundary: Some(at) });
+        }
+        self.controls[qi] = Some((controller.clone(), port.1));
+        Ok(())
     }
 }
 
@@ -816,34 +803,29 @@ impl PipelineManager {
 /// plan under `query`-scoped names and re-creates their edges, with every
 /// edge leaving `boundary` re-anchored to the given fan-out port.  Each
 /// spliced node keeps the recovery policy and quarantine flag its query
-/// declared (`recovery`/`quarantine` are index-parallel with the original
-/// plan's nodes); shared spine nodes, spliced elsewhere, stay fail-fast —
-/// a restart there would replay into every sharer at once.
-#[allow(clippy::too_many_arguments)]
+/// declared.  Shared nodes never carry either: registration ends a chain
+/// before any node that declares one.
 fn splice_suffix(
     master: &mut QueryPlan,
     query: &str,
-    slots: Vec<Option<PlanNode>>,
-    edges: Vec<Edge>,
-    recovery: &[dsms_engine::RecoveryPolicy],
-    quarantine: &[bool],
+    plan: Pieces,
     boundary: usize,
     fanout: (NodeId, usize),
 ) -> EngineResult<()> {
     let mut map: HashMap<usize, NodeId> = HashMap::new();
-    for (idx, slot) in slots.into_iter().enumerate() {
+    for (idx, slot) in plan.nodes.into_iter().enumerate() {
         if let Some(node) = slot {
             let id = master.add_node(PlanNode { name: format!("{query}/{}", node.name), ..node });
-            if let Some(&policy) = recovery.get(idx) {
+            if let Some(&policy) = plan.recovery.get(idx) {
                 master.set_recovery(id, policy)?;
             }
-            if quarantine.get(idx).copied().unwrap_or(false) {
+            if plan.quarantine.get(idx).copied().unwrap_or(false) {
                 master.set_quarantine(id, true)?;
             }
             map.insert(idx, id);
         }
     }
-    for edge in edges {
+    for edge in plan.edges {
         let Some(&to) = map.get(&edge.to.index()) else {
             // Both endpoints inside the replaced prefix: nothing to wire.
             continue;
@@ -869,9 +851,10 @@ fn splice_suffix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsms_engine::StreamBuilder;
-    use dsms_operators::{SinkHandle, StreamOps, TuplePredicate, VecSource};
+    use dsms_engine::{Stream, StreamBuilder};
+    use dsms_operators::{AggregateFunction, SinkHandle, StreamOps, TuplePredicate, VecSource};
     use dsms_types::{DataType, Schema, StreamDuration, Timestamp, Tuple, Value};
+    use std::time::Duration;
 
     fn schema() -> SchemaRef {
         Schema::shared(&[("timestamp", DataType::Timestamp), ("v", DataType::Int)])
@@ -1029,6 +1012,189 @@ mod tests {
         assert!(!suffix.is_empty(), "…but joined before the end");
         assert_eq!(outcome.summary.queries_started, 2);
         assert_eq!(outcome.summary.queries_active, 2);
+    }
+
+    /// `source → select(pred) → aggregate(function) → sink`, with the
+    /// aggregate named `agg` and `configure` applied to its stream.
+    fn aggregate_plan(
+        source: impl Operator + 'static,
+        pred: TuplePredicate,
+        agg: &str,
+        function: AggregateFunction,
+        configure: impl FnOnce(Stream) -> Stream,
+    ) -> (QueryPlan, SinkHandle) {
+        let builder = StreamBuilder::new();
+        let stream = builder
+            .source(source)
+            .unwrap()
+            .select("filter", pred)
+            .unwrap()
+            .aggregate(agg, "timestamp", StreamDuration::from_secs(8), &[], function)
+            .unwrap();
+        let handle = configure(stream).sink_collect("sink").unwrap();
+        (builder.build().unwrap(), handle)
+    }
+
+    fn solo_aggregate_digest(n: i64, pred: TuplePredicate, function: AggregateFunction) -> String {
+        let (plan, handle) = aggregate_plan(source(n), pred, "agg", function, |s| s);
+        SyncExecutor::run(plan).unwrap();
+        digest(&handle)
+    }
+
+    fn sorted_names(report: &ExecutionReport) -> Vec<String> {
+        let mut names: Vec<String> = report.metrics.iter().map(|m| m.operator.clone()).collect();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn prefixes_are_shared_operator_by_operator_as_a_trie() {
+        // 2 filters × 2 functions × 2 queries: each filter runs once, each
+        // (filter, function) aggregate runs once, and the per-query names
+        // of the aggregates do not keep them apart.
+        let mut manager = PipelineManager::new();
+        manager.add_source("feed", source(40)).unwrap();
+        type Filter = fn() -> TuplePredicate;
+        let filters: [(&str, Filter); 2] = [("even", evens), ("odd", odds)];
+        let functions =
+            [("count", AggregateFunction::Count), ("sum", AggregateFunction::Sum("v".into()))];
+        let mut sinks = Vec::new();
+        for (filter, pred) in filters {
+            for (label, function) in &functions {
+                for copy in 0..2 {
+                    let query = format!("{filter}-{label}-{copy}");
+                    let source_ref = manager.source_ref("feed").unwrap();
+                    let (plan, sink) = aggregate_plan(
+                        source_ref,
+                        pred(),
+                        &format!("agg-{query}"),
+                        function.clone(),
+                        |s| s,
+                    );
+                    manager.register(query, plan).unwrap();
+                    sinks.push((sink, pred, function.clone()));
+                }
+            }
+        }
+        let outcome = manager.run(ExecutorKind::Sync).unwrap();
+        for (sink, pred, function) in &sinks {
+            assert_eq!(digest(sink), solo_aggregate_digest(40, pred(), function.clone()));
+        }
+        assert_eq!(
+            sorted_names(&outcome.master),
+            [
+                "even-count-0/sink",
+                "even-count-1/sink",
+                "even-sum-0/sink",
+                "even-sum-1/sink",
+                "fanout/feed",
+                "fanout/feed/0",
+                "fanout/feed/0/0",
+                "fanout/feed/0/1",
+                "fanout/feed/1",
+                "fanout/feed/1/0",
+                "fanout/feed/1/1",
+                "feed",
+                "odd-count-0/sink",
+                "odd-count-1/sink",
+                "odd-sum-0/sink",
+                "odd-sum-1/sink",
+                "shared/feed/0/0/agg-even-count-0",
+                "shared/feed/0/1/agg-even-sum-0",
+                "shared/feed/0/filter",
+                "shared/feed/1/0/agg-odd-count-0",
+                "shared/feed/1/1/agg-odd-sum-0",
+                "shared/feed/1/filter",
+            ]
+        );
+        // 8 queries × (source, filter, aggregate) requested; 1 source,
+        // 2 filters and 4 aggregates built.
+        assert_eq!(outcome.summary.prefix_ops_total, 24);
+        assert_eq!(outcome.summary.shared_prefix_hits, 24 - 7);
+        assert_eq!(outcome.master.total_feedback_dropped(), 0);
+    }
+
+    #[test]
+    fn same_filter_different_aggregate_shares_the_filter() {
+        let mut manager = PipelineManager::new();
+        manager.add_source("feed", source(40)).unwrap();
+        let sum = AggregateFunction::Sum("v".into());
+        let source_ref = manager.source_ref("feed").unwrap();
+        let (plan_a, sink_a) =
+            aggregate_plan(source_ref, evens(), "agg", AggregateFunction::Count, |s| s);
+        let source_ref = manager.source_ref("feed").unwrap();
+        let (plan_b, sink_b) = aggregate_plan(source_ref, evens(), "agg", sum.clone(), |s| s);
+        manager.register("qa", plan_a).unwrap();
+        manager.register("qb", plan_b).unwrap();
+
+        let outcome = manager.run(ExecutorKind::Sync).unwrap();
+        assert_eq!(digest(&sink_a), solo_aggregate_digest(40, evens(), AggregateFunction::Count));
+        assert_eq!(digest(&sink_b), solo_aggregate_digest(40, evens(), sum));
+        assert_eq!(
+            sorted_names(&outcome.master),
+            [
+                "fanout/feed",
+                "fanout/feed/0",
+                "feed",
+                "qa/agg",
+                "qa/sink",
+                "qb/agg",
+                "qb/sink",
+                "shared/feed/0/filter"
+            ]
+        );
+        // Source and filter requested twice, built once; the aggregates
+        // differ.
+        assert_eq!(outcome.summary.shared_prefix_hits, 2);
+        assert_eq!(outcome.summary.prefix_ops_total, 6);
+        assert!(outcome.query("qa").unwrap().operator("agg").is_some());
+    }
+
+    #[test]
+    fn a_declared_recovery_policy_or_quarantine_keeps_the_node_private() {
+        let restart = RecoveryPolicy::Restart { max_restarts: 2, backoff: Duration::ZERO };
+        let mut manager = PipelineManager::new();
+        manager.add_source("feed", source(40)).unwrap();
+        let configure: [fn(Stream) -> Stream; 4] = [
+            |s| s,
+            |s| {
+                s.with_recovery(RecoveryPolicy::Restart {
+                    max_restarts: 2,
+                    backoff: Duration::ZERO,
+                })
+            },
+            Stream::quarantine_on_failure,
+            |s| s,
+        ];
+        let mut sinks = Vec::new();
+        for (query, configure) in ["qa", "qb", "qc", "qd"].into_iter().zip(configure) {
+            let source_ref = manager.source_ref("feed").unwrap();
+            let (plan, sink) =
+                aggregate_plan(source_ref, evens(), "agg", AggregateFunction::Count, configure);
+            manager.register(query, plan).unwrap();
+            sinks.push(sink);
+        }
+
+        let (master, ..) = manager.splice().unwrap();
+        let node = |name: &str| {
+            master.topological_order().into_iter().find(|&id| master.node_name(id) == Some(name))
+        };
+        let private_b = node("qb/agg").expect("qb's aggregate is private");
+        assert_eq!(master.recovery_policy(private_b), restart, "and keeps its restart policy");
+        let private_c = node("qc/agg").expect("qc's aggregate is private");
+        assert!(master.quarantined_on_failure(private_c), "and keeps its quarantine flag");
+        // qa and qd declared nothing and still share theirs, behind the
+        // shared filter all four use.
+        let shared = node("shared/feed/0/0/agg").expect("qa and qd share their aggregate");
+        assert_eq!(master.recovery_policy(shared), RecoveryPolicy::FailFast);
+        assert!(node("shared/feed/0/filter").is_some());
+        assert!(node("qa/agg").is_none() && node("qd/agg").is_none());
+
+        SyncExecutor::run(master).unwrap();
+        let solo = solo_aggregate_digest(40, evens(), AggregateFunction::Count);
+        for sink in &sinks {
+            assert_eq!(digest(sink), solo);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// The aggregate function computed per window and group.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggregateFunction {
     /// COUNT of tuples.
     Count,
@@ -93,7 +93,7 @@ impl AggregateFunction {
 
 /// How the aggregate responds to assumed feedback — the F0–F3 schemes of
 /// Experiment 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeedbackMode {
     /// F0: ignore feedback entirely.
     Ignore,
@@ -207,6 +207,7 @@ pub struct WindowAggregate {
     /// Group keys suppressed by PurgeAndGuardMatchingGroups.  They describe
     /// groups, not a span of stream time, so no punctuation releases them.
     guarded_groups: HashSet<Vec<Value>>,
+    /// The bound of the last output progress punctuation, `[window ≤ t]`.
     emitted_watermark: Option<Timestamp>,
 }
 
@@ -352,7 +353,8 @@ impl WindowAggregate {
         }
     }
 
-    /// Closes every window whose end is at or before the watermark.
+    /// Closes every window whose end is at or before the watermark, and
+    /// punctuates the output up to the last closed window.
     fn close_windows_up_to(&mut self, watermark: Timestamp, ctx: &mut OperatorContext) {
         let closeable: Vec<StateKey> = self
             .state
@@ -369,15 +371,16 @@ impl WindowAggregate {
                 self.emit_window(&key, &acc, ctx);
             }
         }
-        // Forward progress: everything up to the watermark is complete on the
-        // output's window attribute too, so the output guards it releases go.
-        let should_emit = match self.emitted_watermark {
-            None => true,
-            Some(prev) => watermark > prev,
-        };
-        if should_emit {
-            self.emitted_watermark = Some(watermark);
-            if let Ok(p) = Punctuation::progress(self.output_schema.clone(), "window", watermark) {
+        // Forward progress on the output: every window that ends at or before
+        // the watermark is closed, so the output is complete for every window
+        // starting before the first open one, whose start is the watermark
+        // plus 1 ms rounded down to a window boundary.  Punctuating the raw
+        // input watermark would claim that open window complete.
+        let complete = (watermark + StreamDuration::from_millis(1)).align_down(self.window)
+            - StreamDuration::from_millis(1);
+        if self.emitted_watermark.is_none_or(|prev| complete > prev) {
+            self.emitted_watermark = Some(complete);
+            if let Ok(p) = Punctuation::progress(self.output_schema.clone(), "window", complete) {
                 self.output_guards.expire_with(&p);
                 ctx.emit_punctuation(0, p);
             }
@@ -656,6 +659,23 @@ impl Operator for WindowAggregate {
             }
         }
         Ok(())
+    }
+
+    /// The aggregate is dedupe-able: its output is fully determined by its
+    /// input schema, timestamp attribute, window, group-by attributes,
+    /// function and feedback mode.  The name is left out, so per-query names
+    /// do not keep equal aggregates apart.  Nothing here allocates.
+    fn fingerprint(&self) -> Option<u64> {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = dsms_types::FixedHasher::new();
+        "window_aggregate".hash(&mut hasher);
+        self.input_schema.hash(&mut hasher);
+        self.timestamp_attribute.hash(&mut hasher);
+        self.window.hash(&mut hasher);
+        self.group_attributes.hash(&mut hasher);
+        self.function.hash(&mut hasher);
+        self.feedback_mode.hash(&mut hasher);
+        Some(hasher.finish())
     }
 }
 
@@ -1162,6 +1182,123 @@ mod tests {
             assert_eq!(stats.received.assumed, 2, "one receipt per mounted guard");
             assert_eq!(stats.tuples_suppressed, 2);
             assert_eq!(stats.guards_expired, 2, "the input and the output guard");
+        }
+    }
+
+    #[test]
+    fn output_punctuation_never_runs_ahead_of_an_open_window() {
+        // A 4-s punctuation period against 10-s windows: most input
+        // watermarks fall inside an open window.
+        let mut op = WindowAggregate::new(
+            "AVERAGE",
+            schema(),
+            "timestamp",
+            StreamDuration::from_secs(10),
+            &["segment"],
+            AggregateFunction::Avg("speed".into()),
+        )
+        .unwrap();
+        let mut ctx = OperatorContext::new();
+        // An output guard scoped to the second window, [10 s, 20 s).
+        let guard = Pattern::for_attributes(
+            op.output_schema().clone(),
+            &[
+                ("window", PatternItem::Eq(Value::Timestamp(Timestamp::from_secs(10)))),
+                ("avg", PatternItem::Ge(Value::Float(50.0))),
+            ],
+        )
+        .unwrap();
+        op.on_feedback(0, FeedbackPunctuation::assumed(guard, "MAP"), &mut ctx).unwrap();
+        ctx.take_feedback();
+        let mut complete_up_to: Option<Timestamp> = None;
+        let mut results = Vec::new();
+        for t in 0..36 {
+            if t % 4 == 0 && t > 0 {
+                let watermark = Timestamp::from_secs(t) - StreamDuration::from_millis(1);
+                let p = Punctuation::progress(schema(), "timestamp", watermark).unwrap();
+                op.on_punctuation(0, p, &mut ctx).unwrap();
+            }
+            if t == 16 {
+                // Watermark 15.999 s: the second window is still open.
+                assert_eq!(op.feedback_stats().unwrap().guards_expired, 0, "guard released early");
+            }
+            op.on_tuple(0, tuple(t, 1, 60.0), &mut ctx).unwrap();
+            for (_, item) in ctx.take_emitted() {
+                match item {
+                    StreamItem::Tuple(out) => {
+                        let window = out.timestamp("window").unwrap();
+                        assert!(
+                            complete_up_to.is_none_or(|bound| window > bound),
+                            "result for window {window:?} arrived after [window ≤ {:?}]",
+                            complete_up_to.unwrap()
+                        );
+                        results.push(window.as_secs());
+                    }
+                    StreamItem::Punctuation(p) => {
+                        let bound = p.watermark_for("window").unwrap();
+                        assert!(complete_up_to.is_none_or(|prev| bound > prev), "bound must grow");
+                        complete_up_to = Some(bound);
+                    }
+                }
+            }
+        }
+        assert_eq!(results, [0, 20], "window 10 s is suppressed by the output guard");
+        assert_eq!(complete_up_to, Some(Timestamp::from_secs(30) - StreamDuration::from_millis(1)));
+        assert_eq!(
+            op.feedback_stats().unwrap().guards_expired,
+            1,
+            "released once window 10 s closed"
+        );
+    }
+
+    #[test]
+    fn fingerprint_is_structural_and_ignores_the_name() {
+        let build = |name: &str,
+                     input: SchemaRef,
+                     ts: &str,
+                     secs: i64,
+                     groups: &[&str],
+                     function: AggregateFunction| {
+            WindowAggregate::new(name, input, ts, StreamDuration::from_secs(secs), groups, function)
+                .unwrap()
+        };
+        let avg = || AggregateFunction::Avg("speed".into());
+        let base = build("avg-0", schema(), "timestamp", 60, &["segment"], avg()).fingerprint();
+        assert!(base.is_some());
+        assert_eq!(
+            base,
+            build("avg-7", schema(), "timestamp", 60, &["segment"], avg()).fingerprint()
+        );
+
+        let wider = Schema::shared(&[
+            ("timestamp", DataType::Timestamp),
+            ("segment", DataType::Int),
+            ("speed", DataType::Float),
+            ("lane", DataType::Int),
+        ]);
+        let retyped_field = Schema::shared(&[
+            ("timestamp", DataType::Timestamp),
+            ("segment", DataType::Int),
+            ("speed", DataType::Int),
+        ]);
+        let two_stamps = Schema::shared(&[
+            ("timestamp", DataType::Timestamp),
+            ("segment", DataType::Int),
+            ("speed", DataType::Float),
+            ("arrival", DataType::Timestamp),
+        ]);
+        let variants = [
+            build("avg-0", wider, "timestamp", 60, &["segment"], avg()),
+            build("avg-0", retyped_field, "timestamp", 60, &["segment"], avg()),
+            build("avg-0", two_stamps, "arrival", 60, &["segment"], avg()),
+            build("avg-0", schema(), "timestamp", 30, &["segment"], avg()),
+            build("avg-0", schema(), "timestamp", 60, &[], avg()),
+            build("avg-0", schema(), "timestamp", 60, &["segment"], AggregateFunction::Count),
+            build("avg-0", schema(), "timestamp", 60, &["segment"], avg())
+                .with_feedback_mode(FeedbackMode::GuardOutput),
+        ];
+        for variant in &variants {
+            assert_ne!(variant.fingerprint(), base, "{:?}", variant.function);
         }
     }
 

@@ -1,8 +1,10 @@
 //! Shared fan-out for multi-query execution.
 //!
-//! [`SharedFanout`] sits at the point where a shared subplan — a long-lived
-//! source, optionally followed by a deduplicated `select`/`project` prefix —
-//! splits into the private suffixes of N standing queries.  It differs from
+//! [`SharedFanout`] sits at each point where a shared subplan — a long-lived
+//! source, optionally followed by deduplicated prefix operators such as
+//! `select`, `project` or a window aggregate — splits into the branches of N
+//! standing queries, each either a query's private suffix or a deeper shared
+//! operator.  It differs from
 //! [`Duplicate`](crate::Duplicate) in three ways that matter for a
 //! multi-query manager:
 //!
@@ -16,8 +18,8 @@
 //! * **Lattice-combined upstream relay.**  Source-bound feedback still only
 //!   crosses the fan-out when every *active* sharer agrees, via the same
 //!   [`FeedbackMerge`] lattice the partitioned path uses — the shared prefix
-//!   and the source serve everyone, so slowing or filtering them is only
-//!   safe under unanimity.
+//!   and the source serve everyone, so slowing or filtering them, or purging
+//!   a shared aggregate's state, is only safe under unanimity.
 //! * **Attach/detach at punctuation boundaries.**  Output ports can be
 //!   attached and detached while the stream runs.  Directives are posted
 //!   through a shared [`FanoutController`] (mirroring the elastic stage's
@@ -25,7 +27,9 @@
 //!   next punctuation boundary — the same punctuation-aligned consistent cut
 //!   the elastic Migrate/Ack/Commit handshake uses — so a newly attached
 //!   query starts with a punctuation-delimited suffix of the stream and a
-//!   detached query stops without disturbing its siblings' output.
+//!   detached query stops without disturbing its siblings' output.  Behind
+//!   a shared window aggregate the boundaries are the aggregate's output
+//!   punctuation, so membership changes there commit at window boundaries.
 //!
 //! The data kernel is DUPLICATE's zero-copy columnar kernel: a page whose
 //! column summaries prove every attached port clear of its guards is

@@ -8,6 +8,10 @@
 //! 2. **Lifecycle isolation** — attaching or detaching a query mid-stream at
 //!    a punctuation boundary leaves every sibling's sink digest
 //!    byte-identical to a solo (manager-less) run of the same plan.
+//!
+//! Both hold below a shared window aggregate too: a private pattern stays in
+//! its query's fan-out port, and membership changes there commit at the
+//! aggregate's output punctuation, i.e. at a window boundary.
 
 use feedback_dsms::operators::SinkHandle;
 use feedback_dsms::prelude::*;
@@ -94,6 +98,44 @@ fn managed_plan(
 }
 
 const EXECUTORS: [ExecutorKind; 2] = [ExecutorKind::Sync, ExecutorKind::Pooled];
+
+fn max_v() -> AggregateFunction {
+    AggregateFunction::Max("v".into())
+}
+
+/// `source → select(evens) → aggregate(function, 8-s windows) →
+/// [subscriptions] → sink`; the aggregate is named after `function` alone,
+/// so equal configurations share one instance.
+fn aggregate_plan(
+    source: impl Operator + 'static,
+    function: AggregateFunction,
+    subscriptions: &[FeedbackSpec],
+) -> (feedback_dsms::engine::QueryPlan, SinkHandle) {
+    let builder = StreamBuilder::new().with_queue_capacity(1);
+    let mut stream = builder
+        .source(source)
+        .unwrap()
+        .select("filter", evens())
+        .unwrap()
+        .aggregate(function.output_name(), "timestamp", StreamDuration::from_secs(8), &[], function)
+        .unwrap();
+    for spec in subscriptions {
+        stream = stream.with_feedback(spec.clone()).unwrap();
+    }
+    let handle = stream.sink_collect("sink").unwrap();
+    (builder.build().unwrap(), handle)
+}
+
+fn solo_aggregate_digest(n: i64, function: AggregateFunction) -> String {
+    let (plan, handle) = aggregate_plan(source(n), function, &[]);
+    SyncExecutor::run(plan).unwrap();
+    digest(&handle)
+}
+
+fn is_subset(partial: &str, solo: &str) -> bool {
+    let solo_rows: Vec<&str> = solo.lines().collect();
+    partial.lines().all(|row| solo_rows.contains(&row))
+}
 
 /// Every private operator of the named query must be feedback-silent.
 fn assert_feedback_silent(outcome: &ManagerOutcome, query: &str) {
@@ -220,6 +262,99 @@ proptest! {
                 "{:?}: the steered query saw only tuples from the solo result", kind
             );
             prop_assert_eq!(outcome.summary.queries_registered, 3);
+            if late_attach {
+                prop_assert_eq!(outcome.summary.queries_active, 3);
+            } else {
+                prop_assert_eq!(outcome.summary.queries_stopped, 1);
+            }
+        }
+    }
+
+    /// Three queries share `select → max`, and one asserts a private assumed
+    /// pattern on the aggregate's output.  The pattern stays in that
+    /// query's fan-out port: the shared aggregate purges nothing, the source
+    /// hears nothing, and the siblings match their solo runs.
+    #[test]
+    fn a_private_pattern_on_a_shared_aggregate_stays_private(
+        n in 24i64..96,
+        fire_after in 0u64..3,
+        threshold in 0i64..40,
+    ) {
+        let solo = solo_aggregate_digest(n, max_v());
+        for kind in EXECUTORS {
+            let mut manager = PipelineManager::new().with_queue_capacity(1);
+            manager.add_source("feed", source(n)).unwrap();
+            let results = Schema::shared(&[("window", DataType::Timestamp), ("max", DataType::Float)]);
+            let high = Pattern::for_attributes(
+                results,
+                &[("max", PatternItem::Ge(Value::Float(threshold as f64)))],
+            )
+            .unwrap();
+            let private = [FeedbackSpec::assumed(high).after_tuples(fire_after)];
+            let (plan_a, sink_a) =
+                aggregate_plan(manager.source_ref("feed").unwrap(), max_v(), &private);
+            let (plan_b, sink_b) = aggregate_plan(manager.source_ref("feed").unwrap(), max_v(), &[]);
+            let (plan_c, sink_c) = aggregate_plan(manager.source_ref("feed").unwrap(), max_v(), &[]);
+            manager.register("qa", plan_a).unwrap();
+            manager.register("qb", plan_b).unwrap();
+            manager.register("qc", plan_c).unwrap();
+
+            let outcome = manager.run(kind).unwrap();
+            prop_assert_eq!(outcome.master.total_feedback_dropped(), 0);
+            prop_assert_eq!(digest(&sink_b), solo.clone(), "{:?} qb", kind);
+            prop_assert_eq!(digest(&sink_c), solo.clone(), "{:?} qc", kind);
+            prop_assert!(is_subset(&digest(&sink_a), &solo), "{:?} qa", kind);
+            prop_assert!(
+                outcome.query("qa").unwrap().operator("sink").unwrap().feedback_out >= 1,
+                "{:?}: qa's subscription must fire", kind
+            );
+            let shared = outcome.master.operator("shared/feed/0/max").unwrap();
+            prop_assert_eq!(shared.feedback_in, 0, "{:?}: the aggregate hears nothing", kind);
+            prop_assert_eq!(shared.feedback.state_purged, 0, "{:?}", kind);
+            prop_assert_eq!(outcome.master.operator("feed").unwrap().feedback_in, 0, "{:?}", kind);
+            assert_feedback_silent(&outcome, "qb");
+            assert_feedback_silent(&outcome, "qc");
+        }
+    }
+
+    /// A query below a shared `select → max` detaches (or attaches late) at
+    /// a scripted boundary of the fan-out after the aggregate, which counts
+    /// the aggregate's output punctuation: the siblings — one sharing the
+    /// aggregate, one sharing only the filter — match their solo runs, and
+    /// the steered query sees only whole window results of the solo run.
+    #[test]
+    fn lifecycle_changes_below_a_shared_aggregate_never_disturb_siblings(
+        n in 32i64..96,
+        boundary in 1u64..5,
+        late_attach_raw in 0u8..2,
+    ) {
+        let late_attach = late_attach_raw == 1;
+        let solo_max = solo_aggregate_digest(n, max_v());
+        let solo_count = solo_aggregate_digest(n, AggregateFunction::Count);
+        for kind in EXECUTORS {
+            let mut manager = PipelineManager::new().with_queue_capacity(1);
+            manager.add_source("feed", source(n)).unwrap();
+            let (plan_a, sink_a) = aggregate_plan(manager.source_ref("feed").unwrap(), max_v(), &[]);
+            let (plan_b, sink_b) = aggregate_plan(manager.source_ref("feed").unwrap(), max_v(), &[]);
+            let (plan_c, sink_c) =
+                aggregate_plan(manager.source_ref("feed").unwrap(), AggregateFunction::Count, &[]);
+            manager.register("qa", plan_a).unwrap();
+            manager.register("qc", plan_c).unwrap();
+            if late_attach {
+                manager.register_detached("qb", plan_b).unwrap();
+                manager.attach_at("qb", boundary).unwrap();
+            } else {
+                manager.register("qb", plan_b).unwrap();
+                manager.detach_at("qb", boundary).unwrap();
+            }
+
+            let outcome = manager.run(kind).unwrap();
+            prop_assert_eq!(outcome.master.total_feedback_dropped(), 0);
+            prop_assert!(outcome.master.operator("shared/feed/0/0/max").is_some());
+            prop_assert_eq!(digest(&sink_a), solo_max.clone(), "{:?} qa", kind);
+            prop_assert_eq!(digest(&sink_c), solo_count.clone(), "{:?} qc", kind);
+            let partial = digest(&sink_b);
+            prop_assert!(is_subset(&partial, &solo_max), "{:?} qb", kind);
             if late_attach {
                 prop_assert_eq!(outcome.summary.queries_active, 3);
             } else {
