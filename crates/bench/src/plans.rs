@@ -21,8 +21,8 @@ use dsms_feedback::FeedbackSpec;
 use dsms_operators::aggregate::FeedbackMode;
 use dsms_operators::WindowAggregate;
 use dsms_operators::{
-    AggregateFunction, ArchivalStore, Costed, GeneratorSource, Impute, Merge, Pace, QualityFilter,
-    Shuffle, StreamOps, TimedSink, TimedSinkHandle, TuplePredicate, VecSource,
+    AggregateFunction, ArchivalStore, Costed, Impute, Merge, Pace, QualityFilter, Shuffle,
+    StreamOps, TimedSink, TimedSinkHandle, TuplePredicate, VecSource,
 };
 use dsms_punctuation::{Pattern, PatternItem};
 use dsms_types::{StreamDuration, Tuple, Value};
@@ -50,7 +50,7 @@ pub fn imputation_plan(
 
     let generator = ImputationGenerator::new(config.stream.clone());
     let readings = builder.source_as(
-        GeneratorSource::new("sensor-source", generator)
+        VecSource::new("sensor-source", generator.collect())
             .with_punctuation("timestamp", config.punctuation_period)
             .with_batch_size(config.source_batch)
             .with_pacing(config.speedup),
@@ -104,7 +104,7 @@ pub fn speedmap_plan(
     let segments = config.stream.segments;
     let duration = config.stream.duration;
     let readings = builder.source_as(
-        GeneratorSource::new("detector-source", generator)
+        VecSource::new("detector-source", generator.collect())
             .with_punctuation("timestamp", config.punctuation_period)
             .with_batch_size(config.source_batch),
         schema.clone(),

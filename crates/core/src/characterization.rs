@@ -9,7 +9,9 @@
 //! This module makes those characterizations executable: given a description
 //! of the operator (its output-schema partition and, for aggregates, the
 //! monotonicity of the aggregate function) and a received assumed feedback
-//! pattern, [`characterize`] returns the list of local [`ExploitAction`]s and
+//! pattern, the `characterize_*` function for its kind
+//! ([`characterize_aggregate`], [`characterize_join`], [`characterize_select`],
+//! [`characterize_duplicate`]) returns the list of local [`ExploitAction`]s and
 //! the [`PropagationRule`] that are *correct* (Definition 1) and *safe*
 //! (Definition 2).  The feedback-aware operators in `dsms-operators` execute
 //! exactly these characterizations, so the unit tests here double as
@@ -178,30 +180,6 @@ pub struct JoinSpec {
     pub right_mapping: AttributeMapping,
 }
 
-/// The kinds of operators this module knows how to characterize.
-#[derive(Debug, Clone)]
-pub enum OperatorKind {
-    /// A grouped, windowed aggregate (COUNT, SUM, AVG, MAX, MIN) described by
-    /// an [`AggregateSpec`].
-    Aggregate(AggregateSpec),
-    /// A binary equi-join described by a [`JoinSpec`].
-    Join(JoinSpec),
-    /// A stateless selection: assumed feedback can simply be conjoined to the
-    /// select condition (Section 4.3: "SELECT … maintains no internal state").
-    Select {
-        /// The select's (single) schema — input and output are identical.
-        schema: SchemaRef,
-    },
-    /// DUPLICATE: both outputs must stay identical, so feedback can only be
-    /// exploited when it is enforced on both outputs (or not at all).
-    Duplicate {
-        /// The duplicated stream's schema.
-        schema: SchemaRef,
-        /// Whether equivalent feedback has been received for *every* output.
-        feedback_on_all_outputs: bool,
-    },
-}
-
 /// Classification of the per-attribute predicate a feedback pattern places on
 /// the aggregate attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,22 +204,6 @@ fn classify_item(item: &PatternItem) -> AggregatePredicate {
         PatternItem::Ge(_) | PatternItem::Gt(_) => AggregatePredicate::UpwardClosed,
         PatternItem::Le(_) | PatternItem::Lt(_) => AggregatePredicate::DownwardClosed,
         _ => AggregatePredicate::Other,
-    }
-}
-
-/// Characterizes an operator's correct-and-safe response to an **assumed**
-/// feedback pattern (over the operator's output schema).
-///
-/// Returns the null response whenever no better response can be proven
-/// correct, so callers may apply the result unconditionally.
-pub fn characterize(kind: &OperatorKind, feedback: &Pattern) -> FeedbackResult<Characterization> {
-    match kind {
-        OperatorKind::Aggregate(spec) => characterize_aggregate(spec, feedback),
-        OperatorKind::Join(spec) => characterize_join(spec, feedback),
-        OperatorKind::Select { schema } => characterize_select(schema, feedback),
-        OperatorKind::Duplicate { schema, feedback_on_all_outputs } => {
-            characterize_duplicate(schema, *feedback_on_all_outputs, feedback)
-        }
     }
 }
 
@@ -725,13 +687,5 @@ mod tests {
         let ch = characterize_duplicate(&schema, true, &f).unwrap();
         assert!(!ch.is_null());
         assert!(ch.guards_input());
-    }
-
-    #[test]
-    fn characterize_dispatches_on_kind() {
-        let spec = count_spec();
-        let f = out_pattern(&spec, &[("g", PatternItem::Eq(Value::Int(7)))]);
-        let ch = characterize(&OperatorKind::Aggregate(spec), &f).unwrap();
-        assert!(ch.purges_state());
     }
 }

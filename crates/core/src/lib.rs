@@ -14,7 +14,8 @@
 //! The crate is organized around the concepts of Sections 3 and 4 of the paper:
 //!
 //! * [`intent`] — [`FeedbackIntent`] and [`FeedbackPunctuation`] themselves.
-//! * [`roles`] — the producer / exploiter / relayer roles operators may play.
+//! * [`roles`] — [`FeedbackRoles`], the producer / exploiter / relayer roles
+//!   an operator declares it plays.
 //! * [`correctness`] — Definition 1 (*correct exploitation*) and Definition 2
 //!   (*safe propagation*) as executable checks over recorded streams, used by
 //!   tests and by a debug validation mode.
@@ -32,10 +33,11 @@
 //!   feedback punctuation crosses the partition point toward the source only
 //!   once **every** replica has asserted it (with a threshold meet for
 //!   disorder-bound cutoffs).
-//! * [`policy`] — the three feedback sources of Section 3.3: explicit
-//!   (declared policies such as PACE's disorder bound), adaptive (operators
-//!   discovering opportunities, e.g. THRIFTY JOIN), and event-driven
-//!   (external events such as a user zooming a speed map).
+//! * [`policy`] — the feedback sources of Section 3.3 that are policies:
+//!   explicit (declared, such as PACE's disorder bound) and event-driven
+//!   (external events such as a user zooming a speed map).  The third,
+//!   adaptive, lives in the operators that discover opportunities from their
+//!   own state (THRIFTY JOIN, IMPATIENT JOIN).
 //! * [`stats`] — counters describing how much work feedback saved.
 
 #![deny(unsafe_code)]
@@ -54,9 +56,8 @@ pub mod spec;
 pub mod stats;
 
 pub use characterization::{
-    characterize, characterize_aggregate, characterize_duplicate, characterize_join,
-    characterize_select, AggregateSpec, Characterization, ExploitAction, JoinSpec, Monotonicity,
-    OperatorKind, PropagationRule,
+    characterize_aggregate, characterize_duplicate, characterize_join, characterize_select,
+    AggregateSpec, Characterization, ExploitAction, JoinSpec, Monotonicity, PropagationRule,
 };
 pub use correctness::{
     check_correct_exploitation, check_safe_propagation, subset, ExploitationReport,
@@ -65,8 +66,8 @@ pub use error::{FeedbackError, FeedbackResult};
 pub use intent::{FeedbackIntent, FeedbackPunctuation};
 pub use mapping::{AttributeMapping, PropagationOutcome};
 pub use merge::FeedbackMerge;
-pub use policy::{AdaptivePolicy, EventDrivenPolicy, ExplicitPolicy, FeedbackSource};
+pub use policy::{EventDrivenPolicy, ExplicitPolicy, FeedbackSource};
 pub use registry::{BatchGuardDecision, FeedbackRegistry, GuardDecision};
-pub use roles::{FeedbackExploiter, FeedbackProducer, FeedbackRelayer, FeedbackRoles};
+pub use roles::FeedbackRoles;
 pub use spec::{FeedbackSpec, FeedbackTrigger};
 pub use stats::FeedbackStats;

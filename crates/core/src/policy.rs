@@ -1,14 +1,15 @@
 //! Feedback *sources* (paper Section 3.3): explicit, adaptive, event-driven.
 //!
 //! A policy decides *when* an operator should issue feedback and *what subset*
-//! the feedback should describe.  Three families are provided, matching the
-//! paper's taxonomy:
+//! the feedback should describe.  The paper's taxonomy has three families:
 //!
 //! * [`ExplicitPolicy`] — declared with the query, e.g. PACE's
 //!   `WITH PACE ON MAX(stream1.time, stream2.time) 1 MINUTE` disorder bound.
-//! * [`AdaptivePolicy`] — discovered by the operator from its own state, e.g.
-//!   THRIFTY JOIN noticing from punctuation that a window on the probe side is
-//!   empty, or IMPATIENT JOIN requesting subsets it can already join.
+//! * adaptive — discovered by the operator from its own state, e.g. THRIFTY
+//!   JOIN noticing from punctuation that a window on the probe side is empty,
+//!   or IMPATIENT JOIN requesting subsets it can already join.  Each adaptive
+//!   operator builds its own patterns from its state (`dsms-operators`'
+//!   `thrifty_join` and `impatient_join`), so there is no policy type here.
 //! * [`EventDrivenPolicy`] — triggered by external events, e.g. the user
 //!   zooming the speed map so that only some segments are visible.
 
@@ -72,54 +73,6 @@ impl ExplicitPolicy {
             &[(self.attribute.as_str(), PatternItem::Lt(Value::Timestamp(cutoff)))],
         )?;
         Ok(FeedbackPunctuation::assumed(pattern, issuer))
-    }
-}
-
-/// An adaptive policy: a join discovering from punctuation that a window is
-/// empty on one input, so the matching window on the other input is useless
-/// (THRIFTY JOIN), or discovering which subsets it could join right now
-/// (IMPATIENT JOIN).
-#[derive(Debug, Clone)]
-pub struct AdaptivePolicy {
-    /// The window/group attribute of the *other* input's schema the discovery
-    /// is expressed over (e.g. the window id or the `(period, segment)` pair).
-    pub attribute: String,
-}
-
-impl AdaptivePolicy {
-    /// Creates an adaptive policy keyed by the named attribute.
-    pub fn on_attribute(attribute: impl Into<String>) -> Self {
-        AdaptivePolicy { attribute: attribute.into() }
-    }
-
-    /// THRIFTY JOIN: window `window_id` is known to be empty on the probe
-    /// input, so tuples of that window on the other input are useless.
-    pub fn empty_window_feedback(
-        &self,
-        schema: SchemaRef,
-        window_id: i64,
-        issuer: &str,
-    ) -> TypeResult<FeedbackPunctuation> {
-        let pattern = Pattern::for_attributes(
-            schema,
-            &[(self.attribute.as_str(), PatternItem::Eq(Value::Int(window_id)))],
-        )?;
-        Ok(FeedbackPunctuation::assumed(pattern, issuer))
-    }
-
-    /// IMPATIENT JOIN: the issuer already holds build-side data for the listed
-    /// key values and would like matching probe tuples as soon as possible.
-    pub fn desired_keys_feedback(
-        &self,
-        schema: SchemaRef,
-        keys: &[Value],
-        issuer: &str,
-    ) -> TypeResult<FeedbackPunctuation> {
-        let pattern = Pattern::for_attributes(
-            schema,
-            &[(self.attribute.as_str(), PatternItem::InSet(keys.to_vec()))],
-        )?;
-        Ok(FeedbackPunctuation::desired(pattern, issuer))
     }
 }
 
@@ -212,31 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn thrifty_join_empty_window_feedback() {
-        let policy = AdaptivePolicy::on_attribute("segment");
-        let f = policy.empty_window_feedback(sensor_schema(), 4, "THRIFTY-JOIN").unwrap();
-        assert_eq!(f.intent(), FeedbackIntent::Assumed);
-        assert!(f.describes(&tuple(0, 4)));
-        assert!(!f.describes(&tuple(0, 5)));
-    }
-
-    #[test]
-    fn impatient_join_desired_keys_feedback() {
-        let policy = AdaptivePolicy::on_attribute("segment");
-        let f = policy
-            .desired_keys_feedback(
-                sensor_schema(),
-                &[Value::Int(3), Value::Int(7)],
-                "IMPATIENT-JOIN",
-            )
-            .unwrap();
-        assert_eq!(f.intent(), FeedbackIntent::Desired);
-        assert!(f.describes(&tuple(0, 3)));
-        assert!(f.describes(&tuple(0, 7)));
-        assert!(!f.describes(&tuple(0, 4)));
-    }
-
-    #[test]
     fn viewport_policy_assumes_away_hidden_segments() {
         let policy = EventDrivenPolicy::viewport("segment", 0..9);
         let visible: BTreeSet<i64> = [2, 3].into_iter().collect();
@@ -254,7 +182,5 @@ mod tests {
     fn policies_reject_unknown_attributes() {
         let policy = ExplicitPolicy::disorder_bound("arrival", StreamDuration::from_secs(1));
         assert!(policy.feedback(sensor_schema(), Timestamp::EPOCH, "PACE").is_err());
-        let adaptive = AdaptivePolicy::on_attribute("window");
-        assert!(adaptive.empty_window_feedback(sensor_schema(), 1, "x").is_err());
     }
 }

@@ -1,33 +1,25 @@
 //! The three roles an operator may play in the feedback architecture
 //! (paper Section 1: "producers, exploiters, and relayers of feedback").
 //!
-//! These traits are deliberately engine-agnostic: they describe *what* an
-//! operator contributes to the feedback loop, while `dsms-engine` decides how
-//! the resulting messages travel (on the upstream control channel) and
-//! `dsms-operators` implements them for each concrete operator.
-//!
-//! An operator may implement any subset of the roles:
+//! [`FeedbackRoles`] is the declaration; the behaviour behind it is the
+//! engine's `Operator::on_feedback` callback (exploit, relay) plus whatever
+//! feedback an operator issues from its data callbacks (produce).  An
+//! operator may declare any subset of the roles:
 //!
 //! * PACE produces feedback (from its explicit disorder policy) but has
 //!   nothing to exploit;
 //! * IMPUTE exploits assumed feedback (purging late state) and relays it;
-//! * a feedback-unaware operator implements none of them — it ignores
+//! * a feedback-unaware operator declares none of them — it ignores
 //!   feedback and cannot relay it (Section 5, "Feedback Support").
 
-use crate::characterization::Characterization;
-use crate::intent::FeedbackPunctuation;
-use crate::mapping::PropagationOutcome;
-use dsms_types::Tuple;
 use std::fmt;
 
 /// The subset of feedback roles an operator *declares* it plays, as a plain
 /// value usable by plan builders and validators.
 ///
-/// Where [`FeedbackProducer`] / [`FeedbackExploiter`] / [`FeedbackRelayer`]
-/// are behavioural traits, `FeedbackRoles` is the static declaration: a plan
-/// builder asks an operator for its roles *before* execution and can reject a
-/// feedback subscription whose target declares no feedback port at all —
-/// turning what would be a silent run-time no-op (the paper's
+/// A plan builder asks an operator for its roles *before* execution and can
+/// reject a feedback subscription whose target declares no feedback port at
+/// all — turning what would be a silent run-time no-op (the paper's
 /// feedback-unaware operator simply ignores the message) into a
 /// composition-time error.
 ///
@@ -141,112 +133,9 @@ impl fmt::Display for FeedbackRoles {
     }
 }
 
-/// An operator that can *discover* processing opportunities and issue
-/// feedback describing them.
-pub trait FeedbackProducer {
-    /// Called by the engine after the operator has processed a unit of work;
-    /// returns any feedback punctuation the operator wants sent to its
-    /// antecedent(s).  The engine routes each message to the appropriate
-    /// upstream control channel.
-    fn produce_feedback(&mut self) -> Vec<FeedbackPunctuation>;
-}
-
-/// An operator that can *exploit* received feedback by adapting its own
-/// processing (guarding input/output, purging state, prioritizing subsets,
-/// emitting partial results).
-pub trait FeedbackExploiter {
-    /// Called when feedback arrives on the operator's downstream control
-    /// channel.  Returns the characterization the operator decided to enact
-    /// (possibly the null response), which the engine records for metrics and
-    /// debug validation.
-    fn exploit(&mut self, feedback: &FeedbackPunctuation) -> Characterization;
-
-    /// Asks the exploiter whether a specific input tuple is currently
-    /// suppressed by an enacted input guard.  The default implementation
-    /// suppresses nothing.
-    fn suppresses(&self, _tuple: &Tuple) -> bool {
-        false
-    }
-}
-
-/// An operator that can *relay* feedback to its antecedents, rewriting the
-/// pattern into each input's schema when a safe propagation exists.
-pub trait FeedbackRelayer {
-    /// Computes the propagation outcome for each input (indexed from 0).
-    /// Implementations typically delegate to [`crate::mapping::propagate_through`]
-    /// with the operator's own attribute mappings.
-    fn relay(&self, feedback: &FeedbackPunctuation) -> Vec<(usize, PropagationOutcome)>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterization::Characterization;
-    use crate::mapping::{propagate_through, AttributeMapping};
-    use dsms_punctuation::{Pattern, PatternItem};
-    use dsms_types::{DataType, Schema, SchemaRef, Value};
-
-    fn schema() -> SchemaRef {
-        Schema::shared(&[("seg", DataType::Int), ("speed", DataType::Float)])
-    }
-
-    /// A toy operator exercising all three roles: it produces feedback about
-    /// segment 9, exploits whatever it receives by suppressing matching
-    /// tuples, and relays feedback unchanged (its input and output schemas are
-    /// identical).
-    struct Toy {
-        guards: Vec<FeedbackPunctuation>,
-    }
-
-    impl FeedbackProducer for Toy {
-        fn produce_feedback(&mut self) -> Vec<FeedbackPunctuation> {
-            vec![FeedbackPunctuation::assumed(
-                Pattern::for_attributes(schema(), &[("seg", PatternItem::Eq(Value::Int(9)))])
-                    .unwrap(),
-                "toy",
-            )]
-        }
-    }
-
-    impl FeedbackExploiter for Toy {
-        fn exploit(&mut self, feedback: &FeedbackPunctuation) -> Characterization {
-            self.guards.push(feedback.clone());
-            Characterization::null_response()
-        }
-
-        fn suppresses(&self, tuple: &Tuple) -> bool {
-            self.guards.iter().any(|f| f.describes(tuple))
-        }
-    }
-
-    impl FeedbackRelayer for Toy {
-        fn relay(&self, feedback: &FeedbackPunctuation) -> Vec<(usize, PropagationOutcome)> {
-            let mapping = AttributeMapping::by_name(schema(), schema()).unwrap();
-            vec![(0, propagate_through(feedback, &mapping, "toy").unwrap())]
-        }
-    }
-
-    #[test]
-    fn toy_operator_plays_all_roles() {
-        let mut toy = Toy { guards: Vec::new() };
-
-        let produced = toy.produce_feedback();
-        assert_eq!(produced.len(), 1);
-
-        let incoming = FeedbackPunctuation::assumed(
-            Pattern::for_attributes(schema(), &[("seg", PatternItem::Eq(Value::Int(3)))]).unwrap(),
-            "downstream",
-        );
-        toy.exploit(&incoming);
-        let seg3 = Tuple::new(schema(), vec![Value::Int(3), Value::Float(10.0)]);
-        let seg4 = Tuple::new(schema(), vec![Value::Int(4), Value::Float(10.0)]);
-        assert!(toy.suppresses(&seg3));
-        assert!(!toy.suppresses(&seg4));
-
-        let relayed = toy.relay(&incoming);
-        assert_eq!(relayed.len(), 1);
-        assert!(matches!(relayed[0].1, PropagationOutcome::Propagate(_)));
-    }
 
     #[test]
     fn roles_declarations_compose_and_display() {
@@ -269,18 +158,5 @@ mod tests {
         assert!(wrapped.produces() && wrapped.relays());
         assert_eq!(wrapped.to_string(), "producer+relayer");
         assert_eq!(FeedbackRoles::NONE.union(FeedbackRoles::NONE), FeedbackRoles::NONE);
-    }
-
-    #[test]
-    fn default_suppresses_nothing() {
-        struct Passive;
-        impl FeedbackExploiter for Passive {
-            fn exploit(&mut self, _f: &FeedbackPunctuation) -> Characterization {
-                Characterization::null_response()
-            }
-        }
-        let p = Passive;
-        let t = Tuple::new(schema(), vec![Value::Int(1), Value::Float(1.0)]);
-        assert!(!p.suppresses(&t));
     }
 }

@@ -351,28 +351,6 @@ impl Stream {
         self.state.borrow().plan.node_name(self.node).unwrap_or("?").to_string()
     }
 
-    /// The cumulative prefix fingerprint at this point of the stream, if the
-    /// whole path from the plan's source up to (and including) the producing
-    /// node is a dedupe-able chain — see [`QueryPlan::prefix_chain`].
-    ///
-    /// Two streams with equal prefix fingerprints were produced by identical
-    /// chains of fingerprinted operators (select, project, window
-    /// aggregate), so a multi-query manager can execute the chain once and
-    /// fan its output out to both consumers.
-    /// `None` means the path is not dedupe-able (an unfingerprinted or
-    /// multi-port operator occurs on it).
-    pub fn prefix_fingerprint(&self) -> Option<u64> {
-        let state = self.state.borrow();
-        for source in state.plan.source_nodes() {
-            for (node, hash) in state.plan.prefix_chain(source) {
-                if node == self.node {
-                    return Some(hash);
-                }
-            }
-        }
-        None
-    }
-
     /// Declares a feedback subscription on this stream: the consumer attached
     /// next will issue `spec` upstream (against the data flow) once the
     /// spec's trigger fires.
@@ -567,16 +545,6 @@ impl Stream {
     /// stream feeds input 0, `other` feeds input 1).
     pub fn combine(self, other: Stream, operator: impl Operator + 'static) -> EngineResult<Stream> {
         Self::merge(vec![self, other], operator)
-    }
-
-    /// [`combine`](Stream::combine) with an explicitly stated output schema.
-    pub fn combine_as(
-        self,
-        other: Stream,
-        operator: impl Operator + 'static,
-        output_schema: SchemaRef,
-    ) -> EngineResult<Stream> {
-        Self::merge_as(vec![self, other], operator, output_schema)
     }
 
     /// Terminates this stream in a one-input operator (typically a sink with

@@ -991,9 +991,9 @@ mod tests {
         }
     }
 
-    /// A 1→2 router that broadcasts punctuation to both outputs and, per
-    /// tuple, alternates the data route; it also broadcasts any feedback it
-    /// receives upstream on every input.
+    /// A 1→2 router that emits each punctuation on both outputs and, per
+    /// tuple, alternates the data route; it relays any feedback it receives
+    /// upstream on its input.
     struct BroadcastingRouter {
         next_out: usize,
     }
@@ -1019,7 +1019,8 @@ mod tests {
             punctuation: Punctuation,
             ctx: &mut OperatorContext,
         ) -> EngineResult<()> {
-            ctx.broadcast_punctuation(punctuation);
+            ctx.emit_punctuation(0, punctuation.clone());
+            ctx.emit_punctuation(1, punctuation);
             Ok(())
         }
         fn on_feedback(
@@ -1028,14 +1029,15 @@ mod tests {
             feedback: FeedbackPunctuation,
             ctx: &mut OperatorContext,
         ) -> EngineResult<()> {
-            ctx.broadcast_feedback(feedback.relay(feedback.pattern().clone(), "router"));
+            ctx.send_feedback(0, feedback.relay(feedback.pattern().clone(), "router"));
             Ok(())
         }
     }
 
-    /// Broadcast routing: punctuation reaches *every* downstream consumer
-    /// while data follows the per-tuple route, and feedback broadcast
-    /// upstream reaches the source — on both executors, with nothing dropped.
+    /// Broadcast by port: punctuation emitted on every output reaches *every*
+    /// downstream consumer while data follows the per-tuple route, and
+    /// feedback relayed upstream reaches the source — on both executors, with
+    /// nothing dropped.
     #[test]
     fn broadcasts_reach_every_connected_endpoint() {
         for pooled in [false, true] {

@@ -155,8 +155,9 @@ pub(crate) trait LifecyclePorts {
     fn poll_control(&mut self, slot: usize) -> ControlPoll;
 
     /// Back-pressure credit: whether the slot can absorb more data without
-    /// exceeding its bound.  Blocking executors keep the default (`true`) —
-    /// their sends block instead; the pooled executor gates data steps on it.
+    /// exceeding its bound.  The pooled executor gates data steps on it; the
+    /// single-threaded executor keeps the default (`true`), as its edge
+    /// queues are unbounded.
     fn has_credit(&self, slot: usize) -> bool {
         let _ = slot;
         true
@@ -927,69 +928,6 @@ pub(crate) fn route_node<P: LifecyclePorts>(
                 if let Some(rec) = recovery.as_deref_mut() {
                     rec.record_ctl(slot);
                 }
-            }
-        }
-    }
-    // Broadcasts: control punctuation to every connected output (a
-    // partitioner keeping its replicas punctuated) and feedback to every
-    // connected input (a merge point fanning feedback out to its replicas).
-    // The final target receives the original by move — N targets cost N-1
-    // clones, and the single-target broadcast costs none.
-    for punctuation in ctx.take_broadcast_punctuations() {
-        let targets: Vec<usize> = if after_eos {
-            Vec::new()
-        } else {
-            (0..ports.out_count()).filter(|&s| ports.out_data_open(s)).collect()
-        };
-        if targets.is_empty() {
-            if !replaying {
-                metrics.punctuations_out += 1; // count-and-drop, as for port emissions
-            }
-            continue;
-        }
-        let mut remaining = Some(punctuation);
-        let last = targets.len() - 1;
-        for (k, slot) in targets.into_iter().enumerate() {
-            let copy = if k == last {
-                remaining.take().expect("one move per broadcast")
-            } else {
-                remaining.as_ref().expect("clones precede the move").clone()
-            };
-            if recovery.as_deref_mut().is_some_and(|r| r.suppress_out(slot)) {
-                continue;
-            }
-            metrics.punctuations_out += 1;
-            ports.push_item(slot, StreamItem::Punctuation(copy), metrics);
-            if let Some(rec) = recovery.as_deref_mut() {
-                rec.record_out(slot);
-            }
-        }
-    }
-    for fb in ctx.take_broadcast_feedback() {
-        if ports.in_count() == 0 {
-            if !replaying {
-                metrics.feedback_dropped += 1;
-            }
-            continue;
-        }
-        let mut remaining = Some(fb);
-        let last = ports.in_count() - 1;
-        for slot in 0..ports.in_count() {
-            let copy = if slot == last {
-                remaining.take().expect("one move per broadcast")
-            } else {
-                remaining.as_ref().expect("clones precede the move").clone()
-            };
-            if recovery.as_deref_mut().is_some_and(|r| r.suppress_ctl(slot)) {
-                continue;
-            }
-            if ports.send_control(slot, ControlMessage::Feedback(copy)) {
-                metrics.feedback_out += 1;
-                if let Some(rec) = recovery.as_deref_mut() {
-                    rec.record_ctl(slot);
-                }
-            } else {
-                metrics.feedback_dropped += 1;
             }
         }
     }

@@ -115,8 +115,6 @@ pub struct OperatorContext {
     emitted: Vec<(usize, Emission)>,
     feedback: Vec<(usize, FeedbackPunctuation)>,
     request_results: Vec<usize>,
-    broadcast_punctuations: Vec<Punctuation>,
-    broadcast_feedback: Vec<FeedbackPunctuation>,
     queue_depth: u64,
     input_held: bool,
 }
@@ -189,29 +187,6 @@ impl OperatorContext {
         self.request_results.push(input);
     }
 
-    /// Emits an embedded punctuation on **every connected output port**.
-    ///
-    /// The executor expands the broadcast through its routing table, so the
-    /// operator does not need to know which of its output ports are
-    /// connected.  Partitioning operators use this to keep control
-    /// punctuation flowing to all replicas while data follows the hash
-    /// route: a punctuation describes a subset of the whole stream, and the
-    /// partitioned streams are subsets of it, so the assertion holds on
-    /// every partition.
-    pub fn broadcast_punctuation(&mut self, punctuation: Punctuation) {
-        self.broadcast_punctuations.push(punctuation);
-    }
-
-    /// Sends feedback punctuation upstream on **every connected input port**.
-    ///
-    /// The merge side of a partitioned stage uses this to fan feedback from
-    /// its single consumer out to all N upstream replicas: the merged stream
-    /// is the union of the replica streams, so a subset assumed away (or
-    /// desired, or demanded) downstream applies to each replica equally.
-    pub fn broadcast_feedback(&mut self, feedback: FeedbackPunctuation) {
-        self.broadcast_feedback.push(feedback);
-    }
-
     /// Number of stream items emitted so far (all ports).  A page emitted via
     /// [`OperatorContext::emit_page`] counts as the number of items it holds.
     pub fn emitted_len(&self) -> usize {
@@ -237,23 +212,6 @@ impl OperatorContext {
         out
     }
 
-    /// Drains the emitted items in place, handing each to `f` and keeping the
-    /// buffer's capacity for the next operator callback, exploding pages into
-    /// their items.  Routers that can forward whole pages use
-    /// [`OperatorContext::drain_emissions`] instead.
-    pub fn drain_emitted(&mut self, mut f: impl FnMut(usize, StreamItem)) {
-        for (port, emission) in self.emitted.drain(..) {
-            match emission {
-                Emission::Item(item) => f(port, item),
-                Emission::Page(page) => {
-                    for item in page {
-                        f(port, item);
-                    }
-                }
-            }
-        }
-    }
-
     /// Drains the raw emissions in place — items *and* intact pages — keeping
     /// the buffer's capacity for the next operator callback.  The executors
     /// route through this after *every* callback, so reallocating the buffer
@@ -275,18 +233,8 @@ impl OperatorContext {
         std::mem::take(&mut self.request_results)
     }
 
-    /// Drains the broadcast punctuations (used by the executor).
-    pub fn take_broadcast_punctuations(&mut self) -> Vec<Punctuation> {
-        std::mem::take(&mut self.broadcast_punctuations)
-    }
-
-    /// Drains the broadcast feedback (used by the executor).
-    pub fn take_broadcast_feedback(&mut self) -> Vec<FeedbackPunctuation> {
-        std::mem::take(&mut self.broadcast_feedback)
-    }
-
-    /// Discards every buffered output — emissions, feedback, result requests
-    /// and broadcasts — keeping the buffers' capacity.  The recovery path
+    /// Discards every buffered output — emissions, feedback and result
+    /// requests — keeping the buffers' capacity.  The recovery path
     /// uses this after a failed callback so half-produced output from the
     /// failed dispatch never reaches downstream; the replayed suffix
     /// regenerates it.
@@ -294,8 +242,6 @@ impl OperatorContext {
         self.emitted.clear();
         self.feedback.clear();
         self.request_results.clear();
-        self.broadcast_punctuations.clear();
-        self.broadcast_feedback.clear();
     }
 }
 
@@ -824,20 +770,15 @@ mod tests {
     }
 
     #[test]
-    fn context_buffers_broadcasts_separately() {
+    fn context_clear_discards_every_buffer() {
         let mut ctx = OperatorContext::new();
-        ctx.broadcast_punctuation(
-            Punctuation::progress(schema(), "timestamp", Timestamp::EPOCH).unwrap(),
-        );
-        ctx.broadcast_feedback(FeedbackPunctuation::assumed(
-            Pattern::all_wildcards(schema()),
-            "merge",
-        ));
-        assert_eq!(ctx.emitted_len(), 0, "broadcasts are not per-port emissions");
-        assert_eq!(ctx.take_broadcast_punctuations().len(), 1);
-        assert_eq!(ctx.take_broadcast_feedback().len(), 1);
-        assert!(ctx.take_broadcast_punctuations().is_empty(), "drained");
-        assert!(ctx.take_broadcast_feedback().is_empty(), "drained");
+        ctx.emit(0, tuple(1));
+        ctx.send_feedback(1, FeedbackPunctuation::assumed(Pattern::all_wildcards(schema()), "t"));
+        ctx.request_results(0);
+        ctx.clear();
+        assert_eq!(ctx.emitted_len(), 0);
+        assert!(ctx.take_feedback().is_empty());
+        assert!(ctx.take_result_requests().is_empty());
     }
 
     #[test]

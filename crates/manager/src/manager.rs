@@ -277,16 +277,6 @@ impl PipelineManager {
         self.sources.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// The names of the registered queries, in registration order.
-    pub fn query_names(&self) -> Vec<String> {
-        self.queries.iter().map(|q| q.name.clone()).collect()
-    }
-
-    /// Whether [`Self::start`] has been called and [`Self::drain`] has not.
-    pub fn is_running(&self) -> bool {
-        self.running.is_some()
-    }
-
     /// The named query's membership state: the initial membership before the
     /// run starts, the last *committed* membership while it runs.
     pub fn query_state(&self, name: &str) -> Option<QueryState> {
@@ -1148,6 +1138,42 @@ mod tests {
         assert_eq!(outcome.summary.shared_prefix_hits, 2);
         assert_eq!(outcome.summary.prefix_ops_total, 6);
         assert!(outcome.query("qa").unwrap().operator("agg").is_some());
+    }
+
+    #[test]
+    fn detach_below_a_shared_aggregate_counts_closed_windows() {
+        // Two identical aggregate queries share one aggregate; its output
+        // punctuations are the fan-out's boundaries, so detaching at
+        // boundary 2 delivers exactly the first two closed windows.
+        let mut manager = PipelineManager::new();
+        manager.add_source("feed", source(40)).unwrap();
+        let mut sinks = Vec::new();
+        for query in ["qa", "qb"] {
+            let source_ref = manager.source_ref("feed").unwrap();
+            let (plan, sink) =
+                aggregate_plan(source_ref, evens(), "agg", AggregateFunction::Count, |s| s);
+            manager.register(query, plan).unwrap();
+            sinks.push(sink);
+        }
+        manager.detach_at("qb", 2).unwrap();
+
+        let outcome = manager.run(ExecutorKind::Sync).unwrap();
+        let names = sorted_names(&outcome.master);
+        assert!(
+            names.contains(&"shared/feed/0/agg".to_string()),
+            "one shared aggregate: {names:?}"
+        );
+        let solo = solo_aggregate_digest(40, evens(), AggregateFunction::Count);
+        assert_eq!(digest(&sinks[0]), solo, "the sibling sees every window");
+        let windows = |sink: &SinkHandle| {
+            let mut starts: Vec<Value> =
+                sink.lock().iter().map(|t| t.values()[0].clone()).collect();
+            starts.sort();
+            starts
+        };
+        let first_two = windows(&sinks[0])[..2].to_vec();
+        assert_eq!(windows(&sinks[1]), first_two, "exactly the first two closed windows");
+        assert_eq!(outcome.summary.queries_stopped, 1);
     }
 
     #[test]

@@ -207,7 +207,9 @@ pub struct WindowAggregate {
     /// Group keys suppressed by PurgeAndGuardMatchingGroups.  They describe
     /// groups, not a span of stream time, so no punctuation releases them.
     guarded_groups: HashSet<Vec<Value>>,
-    /// The bound of the last output progress punctuation, `[window ≤ t]`.
+    /// The bound of the last output progress punctuation, `[window ≤ t]`
+    /// (before the first one, the bound the output started from; `None`
+    /// until the first input punctuation).
     emitted_watermark: Option<Timestamp>,
 }
 
@@ -356,6 +358,24 @@ impl WindowAggregate {
     /// Closes every window whose end is at or before the watermark, and
     /// punctuates the output up to the last closed window.
     fn close_windows_up_to(&mut self, watermark: Timestamp, ctx: &mut OperatorContext) {
+        // Every window that ends at or before the watermark is closed, so the
+        // output is complete for every window starting before the first open
+        // one, whose start is the watermark plus 1 ms rounded down to a
+        // window boundary.  Punctuating the raw input watermark would claim
+        // that open window complete.
+        let complete = (watermark + StreamDuration::from_millis(1)).align_down(self.window)
+            - StreamDuration::from_millis(1);
+        // At the first input punctuation, the bound starts just below the
+        // earliest window seen, unasserted: the first output punctuation then
+        // always follows a closed window, never an empty prefix (a shared
+        // fan-out counts output punctuations as window boundaries).
+        let already_complete = *self.emitted_watermark.get_or_insert_with(|| {
+            let first_window = self.state.keys().next().map(|(wid, _)| {
+                Timestamp::from_millis(wid * self.window.as_millis())
+                    - StreamDuration::from_millis(1)
+            });
+            first_window.map_or(complete, |first| first.min(complete))
+        });
         let closeable: Vec<StateKey> = self
             .state
             .keys()
@@ -371,14 +391,7 @@ impl WindowAggregate {
                 self.emit_window(&key, &acc, ctx);
             }
         }
-        // Forward progress on the output: every window that ends at or before
-        // the watermark is closed, so the output is complete for every window
-        // starting before the first open one, whose start is the watermark
-        // plus 1 ms rounded down to a window boundary.  Punctuating the raw
-        // input watermark would claim that open window complete.
-        let complete = (watermark + StreamDuration::from_millis(1)).align_down(self.window)
-            - StreamDuration::from_millis(1);
-        if self.emitted_watermark.is_none_or(|prev| complete > prev) {
+        if complete > already_complete {
             self.emitted_watermark = Some(complete);
             if let Ok(p) = Punctuation::progress(self.output_schema.clone(), "window", complete) {
                 self.output_guards.expire_with(&p);
@@ -1306,13 +1319,51 @@ mod tests {
     fn output_punctuation_is_emitted_on_window_close() {
         let mut op = avg_per_segment();
         let mut ctx = OperatorContext::new();
+        let punctuations = |ctx: &mut OperatorContext| -> Vec<Option<Timestamp>> {
+            ctx.take_emitted()
+                .into_iter()
+                .filter_map(|(_, item)| match item {
+                    StreamItem::Punctuation(p) => Some(p.watermark_for("window")),
+                    StreamItem::Tuple(_) => None,
+                })
+                .collect()
+        };
+        // The stream's opening punctuation closes no window, so the output
+        // asserts nothing yet (not an empty `[window ≤ −1 ms]`).
+        op.on_punctuation(
+            0,
+            Punctuation::progress(
+                schema(),
+                "timestamp",
+                Timestamp::EPOCH - StreamDuration::from_millis(1),
+            )
+            .unwrap(),
+            &mut ctx,
+        )
+        .unwrap();
+        assert!(punctuations(&mut ctx).is_empty());
         op.on_tuple(0, tuple(10, 1, 40.0), &mut ctx).unwrap();
         op.on_punctuation(0, progress(59), &mut ctx).unwrap();
-        let punct_count = ctx
-            .take_emitted()
-            .iter()
-            .filter(|(_, item)| matches!(item, StreamItem::Punctuation(_)))
-            .count();
-        assert_eq!(punct_count, 1);
+        assert!(punctuations(&mut ctx).is_empty(), "the first window is still open at 59 s");
+        op.on_punctuation(0, progress(60), &mut ctx).unwrap();
+        let closed = Timestamp::from_secs(60) - StreamDuration::from_millis(1);
+        assert_eq!(punctuations(&mut ctx), vec![Some(closed)], "the first window closed");
+    }
+
+    #[test]
+    fn first_output_punctuation_follows_a_window_closed_before_any_punctuation() {
+        // Tuples arrive before the first input punctuation, which closes
+        // their window at once: that closed window is punctuated.
+        let mut op = avg_per_segment();
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(0, tuple(10, 1, 40.0), &mut ctx).unwrap();
+        op.on_punctuation(0, progress(61), &mut ctx).unwrap();
+        let emitted = ctx.take_emitted();
+        assert_eq!(emitted.len(), 2, "the window's result, then its punctuation");
+        let StreamItem::Punctuation(p) = &emitted[1].1 else { panic!("expected punctuation") };
+        assert_eq!(
+            p.watermark_for("window"),
+            Some(Timestamp::from_secs(60) - StreamDuration::from_millis(1))
+        );
     }
 }

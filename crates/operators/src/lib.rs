@@ -7,7 +7,7 @@
 //!
 //! | Operator | Paper role | Feedback behaviour |
 //! |---|---|---|
-//! | [`source::VecSource`], [`source::GeneratorSource`] | stream input | exploits assumed feedback by skipping described tuples at the source |
+//! | [`source::VecSource`] | stream input | exploits assumed feedback by skipping described tuples at the source; optionally paced in real time |
 //! | [`sink::CollectSink`], [`sink::TimedSink`] | query result | optionally issues event-driven feedback |
 //! | [`select::Select`] | σ (stateless filter) | adds assumed patterns to its condition; relays |
 //! | [`project::Project`] | π | relays feedback through its attribute mapping |
@@ -84,6 +84,6 @@ pub use quality_filter::QualityFilter;
 pub use select::Select;
 pub use shuffle::Shuffle;
 pub use sink::{CollectSink, SinkHandle, TimedSink, TimedSinkHandle};
-pub use source::{GeneratorSource, VecSource};
+pub use source::VecSource;
 pub use split::Split;
 pub use thrifty_join::ThriftyJoin;

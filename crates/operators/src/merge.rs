@@ -13,9 +13,9 @@
 //! downstream side:
 //!
 //! * Feedback received from the merge's consumer guards the merge's output
-//!   and is **broadcast** upstream to all N inputs — the merged stream is the
-//!   union of the input streams, so a subset disclaimed (or desired, or
-//!   demanded) downstream applies to each input equally.
+//!   and is **broadcast** upstream, one copy on each of the N inputs — the
+//!   merged stream is the union of the input streams, so a subset disclaimed
+//!   (or desired, or demanded) downstream applies to each input equally.
 //! * With a [disorder-bound policy](dsms_feedback::ExplicitPolicy) attached,
 //!   the merge also *originates* feedback (paper Section 3.3, explicit
 //!   source): replicas drain at different speeds, so a tuple can reach the
@@ -189,7 +189,7 @@ impl Merge {
             self.last_feedback_cutoff = Some(cutoff);
             let feedback = policy.feedback(self.schema.clone(), hw, &self.name)?;
             self.registry.stats_mut().issued.record(feedback.intent());
-            ctx.broadcast_feedback(feedback);
+            send_to_every_input(self.inputs, feedback, ctx);
         }
         Ok(true)
     }
@@ -263,6 +263,16 @@ impl Merge {
         self.registry.stats_mut().issued.record(feedback.intent());
         ctx.send_feedback(0, feedback);
     }
+}
+
+/// Sends `feedback` upstream on each of the merge's `inputs` ports (dormant
+/// replicas included); the last port receives the original, so N inputs cost
+/// N−1 clones.
+fn send_to_every_input(inputs: usize, feedback: FeedbackPunctuation, ctx: &mut OperatorContext) {
+    for input in 0..inputs - 1 {
+        ctx.send_feedback(input, feedback.clone());
+    }
+    ctx.send_feedback(inputs - 1, feedback);
 }
 
 impl Operator for Merge {
@@ -366,7 +376,11 @@ impl Operator for Merge {
         // feedback from the consumer applies to every replica: broadcast the
         // relay upstream on all inputs.
         self.registry.stats_mut().relayed.record(feedback.intent());
-        ctx.broadcast_feedback(feedback.relay(feedback.pattern().clone(), &self.name));
+        send_to_every_input(
+            self.inputs,
+            feedback.relay(feedback.pattern().clone(), &self.name),
+            ctx,
+        );
         let _ = self.registry.register(feedback);
         Ok(())
     }
@@ -437,11 +451,13 @@ mod tests {
             "sink",
         );
         op.on_feedback(0, fb.clone(), &mut ctx).unwrap();
-        assert!(ctx.take_feedback().is_empty(), "not per-port feedback");
-        let broadcast = ctx.take_broadcast_feedback();
-        assert_eq!(broadcast.len(), 1, "one message, expanded by the executor to all inputs");
-        assert_eq!(broadcast[0].id(), fb.id(), "lineage preserved");
-        assert_eq!(broadcast[0].issuer(), "merge");
+        let sent = ctx.take_feedback();
+        let ports: Vec<usize> = sent.iter().map(|(input, _)| *input).collect();
+        assert_eq!(ports, vec![0, 1, 2, 3], "one message per input");
+        for (_, relayed) in &sent {
+            assert_eq!(relayed.id(), fb.id(), "lineage preserved");
+            assert_eq!(relayed.issuer(), "merge");
+        }
 
         // The merge also guards its own output.
         op.on_tuple(0, tuple(1, 150), &mut ctx).unwrap(); // suppressed
@@ -458,20 +474,21 @@ mod tests {
         op.on_tuple(0, tuple(600, 1), &mut ctx).unwrap(); // sets the watermark
         op.on_tuple(1, tuple(590, 2), &mut ctx).unwrap(); // within tolerance
         assert_eq!(ctx.take_emitted().len(), 2);
-        assert!(ctx.take_broadcast_feedback().is_empty());
+        assert!(ctx.take_feedback().is_empty());
 
         op.on_tuple(1, tuple(100, 3), &mut ctx).unwrap(); // far too late
         assert!(ctx.take_emitted().is_empty(), "late arrival dropped");
         assert_eq!(op.late_dropped(), 1);
-        let feedback = ctx.take_broadcast_feedback();
-        assert_eq!(feedback.len(), 1, "too-late subset broadcast to every replica");
-        assert!(feedback[0].pattern().matches(&tuple(100, 3)));
-        assert!(!feedback[0].pattern().matches(&tuple(590, 0)));
+        let feedback = ctx.take_feedback();
+        let ports: Vec<usize> = feedback.iter().map(|(input, _)| *input).collect();
+        assert_eq!(ports, vec![0, 1], "too-late subset sent to every replica");
+        assert!(feedback[0].1.pattern().matches(&tuple(100, 3)));
+        assert!(!feedback[0].1.pattern().matches(&tuple(590, 0)));
 
         // Cadence: another late tuple at the same cutoff is dropped silently.
         op.on_tuple(0, tuple(101, 4), &mut ctx).unwrap();
         assert_eq!(op.late_dropped(), 2);
-        assert!(ctx.take_broadcast_feedback().is_empty(), "within feedback granularity");
+        assert!(ctx.take_feedback().is_empty(), "within feedback granularity");
         assert_eq!(op.feedback_stats().unwrap().issued.assumed, 1);
     }
 
@@ -494,10 +511,11 @@ mod tests {
         assert_eq!(emitted.len(), 1, "the late row is dropped, the timely one passes");
         assert_eq!(emitted[0].1.as_tuple().unwrap().int("v").unwrap(), 3);
         assert_eq!(op.late_dropped(), 1);
-        let feedback = ctx.take_broadcast_feedback();
-        assert_eq!(feedback.len(), 1, "¬[timestamp < cutoff] broadcast to every input");
-        assert!(feedback[0].pattern().matches(&tuple(100, 0)));
-        assert!(!feedback[0].pattern().matches(&tuple(590, 0)));
+        let feedback = ctx.take_feedback();
+        let ports: Vec<usize> = feedback.iter().map(|(input, _)| *input).collect();
+        assert_eq!(ports, vec![0, 1], "¬[timestamp < cutoff] sent to every input");
+        assert!(feedback[0].1.pattern().matches(&tuple(100, 0)));
+        assert!(!feedback[0].1.pattern().matches(&tuple(590, 0)));
     }
 
     #[test]
@@ -649,7 +667,7 @@ mod tests {
             "sink",
         );
         op.on_feedback(0, fb, &mut ctx).unwrap();
-        let _ = ctx.take_broadcast_feedback();
+        let _ = ctx.take_feedback();
         let page = Page::from_items(vec![
             StreamItem::Tuple(tuple(1, 150)),
             StreamItem::Tuple(tuple(2, 200)),

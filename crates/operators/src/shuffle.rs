@@ -8,7 +8,8 @@
 //!
 //! Control flows treat the fan-out differently from data:
 //!
-//! * **Embedded punctuation is broadcast** to all N outputs.  A punctuation
+//! * **Embedded punctuation is broadcast** to all N outputs (the active
+//!   ones, in elastic mode).  A punctuation
 //!   asserts completeness of a subset of the whole stream; each partition is
 //!   a subset of that stream, so the assertion holds on every partition and
 //!   every replica needs it to close windows.
@@ -409,16 +410,14 @@ impl Operator for Shuffle {
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         self.registry.expire_with(&punctuation);
-        if let Some(elastic) = &self.elastic {
-            // Elastic mode fans punctuation out per active port: a dormant
-            // replica receives no assertions, so the merge's membership-aware
-            // watermark must not wait on it.
-            for port in 0..elastic.active {
-                ctx.emit_punctuation(port, punctuation.clone());
-            }
-            return Ok(());
+        // Every active port gets a copy (the last one the original).  In
+        // elastic mode a dormant replica receives no assertions, so the
+        // merge's membership-aware watermark does not wait on it.
+        let last = self.active() - 1;
+        for port in 0..last {
+            ctx.emit_punctuation(port, punctuation.clone());
         }
-        ctx.broadcast_punctuation(punctuation);
+        ctx.emit_punctuation(last, punctuation);
         Ok(())
     }
 
@@ -597,10 +596,13 @@ mod tests {
         let mut ctx = OperatorContext::new();
         let p = Punctuation::progress(schema(), "timestamp", Timestamp::from_secs(60)).unwrap();
         op.on_punctuation(0, p.clone(), &mut ctx).unwrap();
-        assert!(ctx.take_emitted().is_empty(), "not a per-port emission");
-        let broadcast = ctx.take_broadcast_punctuations();
-        assert_eq!(broadcast.len(), 1);
-        assert_eq!(broadcast[0].watermark_for("timestamp"), p.watermark_for("timestamp"));
+        let emitted = ctx.take_emitted();
+        let ports: Vec<usize> = emitted.iter().map(|(port, _)| *port).collect();
+        assert_eq!(ports, vec![0, 1, 2, 3], "one copy per output, not a hash route");
+        for (_, item) in emitted {
+            let StreamItem::Punctuation(copy) = item else { panic!("expected punctuation") };
+            assert_eq!(copy.watermark_for("timestamp"), p.watermark_for("timestamp"));
+        }
     }
 
     #[test]
@@ -649,8 +651,9 @@ mod tests {
             ),
         ]);
         op.on_page(0, covered, &mut ctx).unwrap();
-        assert!(ctx.take_emitted().is_empty());
-        assert_eq!(ctx.take_broadcast_punctuations().len(), 1);
+        let emitted = ctx.take_emitted();
+        assert_eq!(emitted.len(), 3, "the punctuation alone, once per replica");
+        assert!(emitted.iter().all(|(_, item)| matches!(item, StreamItem::Punctuation(_))));
         // A page provably clear of the guard routes every row on the same
         // route `partition_of` computes.
         let clear = Page::from_items(vec![

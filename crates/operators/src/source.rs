@@ -1,12 +1,13 @@
 //! Stream sources.
 //!
-//! Sources adapt finite, pre-generated workloads (from `dsms-workloads`) or
-//! arbitrary iterators into the engine's pull-stepped source protocol.  They
-//! inject embedded progress punctuation on a timestamp attribute at a
-//! configurable period, mirroring how NiagaraST's stream scans punctuate on
-//! application time, and they are feedback-aware: assumed feedback received
-//! from downstream suppresses matching tuples *at the source*, the cheapest
-//! possible exploitation.
+//! [`VecSource`] adapts a finite workload — a `dsms-workloads` generator
+//! collected into a vector, or any pre-built one — into the engine's
+//! pull-stepped source protocol.  It injects embedded progress punctuation on
+//! a timestamp attribute at a configurable period, mirroring how NiagaraST's
+//! stream scans punctuate on application time; it is feedback-aware: assumed
+//! feedback received from downstream suppresses matching tuples *at the
+//! source*, the cheapest possible exploitation; and it can pace its release
+//! in real time, as a live source would.
 
 use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, SourceState, StateEntry};
 use dsms_feedback::{
@@ -14,16 +15,17 @@ use dsms_feedback::{
 };
 use dsms_punctuation::Punctuation;
 use dsms_types::{ColumnSummary, SchemaRef, StreamDuration, Timestamp, Tuple};
+use std::time::{Duration, Instant};
 
 /// A source that replays a pre-materialized vector of tuples in order,
-/// punctuating progress on a timestamp attribute.
+/// punctuating progress on a timestamp attribute and, optionally, pacing the
+/// replay in real time.
 pub struct VecSource {
     name: String,
     tuples: std::vec::IntoIter<Tuple>,
     timestamp_attribute: Option<String>,
     /// Index of `timestamp_attribute`, resolved from the first tuple's schema
-    /// so the per-tuple punctuation check is a slice access, not a name
-    /// lookup.
+    /// (see `resolve_index`).
     timestamp_index: Option<usize>,
     punctuation_period: StreamDuration,
     last_punctuated: Option<Timestamp>,
@@ -33,6 +35,11 @@ pub struct VecSource {
     batch_guards: bool,
     registry: FeedbackRegistry,
     exhausted: bool,
+    /// Stream seconds per wall-clock second (`None`: replay as fast as
+    /// possible).
+    pacing_speedup: Option<f64>,
+    /// Wall-clock instant and stream time of the first paced release.
+    pacing_origin: Option<(Instant, Timestamp)>,
 }
 
 impl VecSource {
@@ -58,6 +65,8 @@ impl VecSource {
             batch_size: 64,
             batch_guards: true,
             exhausted: false,
+            pacing_speedup: None,
+            pacing_origin: None,
         }
     }
 
@@ -92,21 +101,46 @@ impl VecSource {
         self
     }
 
-    fn maybe_punctuate(&mut self, tuple: &Tuple, ctx: &mut OperatorContext) -> EngineResult<()> {
-        if self.timestamp_attribute.is_none() {
-            return Ok(());
-        }
-        let index = match self.timestamp_index {
-            Some(index) => index,
-            None => {
-                let attr = self.timestamp_attribute.as_deref().expect("checked above");
-                let index = tuple.schema().index_of(attr).map_err(EngineError::from)?;
-                self.timestamp_index = Some(index);
-                index
-            }
+    /// Enables real-time pacing: the source releases tuples so that stream
+    /// time advances at `speedup` stream seconds per wall-clock second, which
+    /// is how live sources behave and what the divergence dynamics of
+    /// Experiment 1 depend on.  Pacing reads the attribute set by
+    /// [`with_punctuation`](Self::with_punctuation) and is off without it.
+    pub fn with_pacing(mut self, speedup: f64) -> Self {
+        self.pacing_speedup = Some(speedup.max(f64::MIN_POSITIVE));
+        self
+    }
+
+    /// How many of the first `batch` pending tuples are due under pacing,
+    /// and — when a tuple that is not yet due cut the run short — how long
+    /// that tuple still has to wait.  The clock starts at the first call;
+    /// without a timestamp attribute every tuple is due.
+    fn paced_run(&mut self, speedup: f64, batch: usize) -> EngineResult<(usize, Option<Duration>)> {
+        let Some(attribute) = self.timestamp_attribute.as_deref() else {
+            return Ok((batch, None));
         };
+        let pending = &self.tuples.as_slice()[..batch];
+        let index = resolve_index(&mut self.timestamp_index, attribute, &pending[0])?;
+        let now = Instant::now();
+        let first = pending[0].timestamp_at(index)?;
+        let (origin_wall, origin_ts) = *self.pacing_origin.get_or_insert((now, first));
+        for (due, tuple) in pending.iter().enumerate() {
+            let stream_elapsed_ms = (tuple.timestamp_at(index)? - origin_ts).as_millis().max(0);
+            let target =
+                origin_wall + Duration::from_secs_f64(stream_elapsed_ms as f64 / 1_000.0 / speedup);
+            if now < target {
+                return Ok((due, Some(target - now)));
+            }
+        }
+        Ok((batch, None))
+    }
+
+    fn maybe_punctuate(&mut self, tuple: &Tuple, ctx: &mut OperatorContext) -> EngineResult<()> {
+        let Some(attr) = self.timestamp_attribute.as_deref() else {
+            return Ok(());
+        };
+        let index = resolve_index(&mut self.timestamp_index, attr, tuple)?;
         let ts = tuple.timestamp_at(index)?;
-        let attr = self.timestamp_attribute.as_deref().expect("checked above");
         let boundary = ts.align_down(self.punctuation_period);
         let due = match self.last_punctuated {
             None => true,
@@ -123,6 +157,20 @@ impl VecSource {
             }
         }
         Ok(())
+    }
+}
+
+/// The index of `attribute` in `tuple`'s schema, looked up once and cached
+/// in `slot`, so the per-tuple punctuation and pacing checks are a slice
+/// access, not a name lookup.
+fn resolve_index(slot: &mut Option<usize>, attribute: &str, tuple: &Tuple) -> EngineResult<usize> {
+    match *slot {
+        Some(index) => Ok(index),
+        None => {
+            let index = tuple.schema().index_of(attribute).map_err(EngineError::from)?;
+            *slot = Some(index);
+            Ok(index)
+        }
     }
 }
 
@@ -172,6 +220,11 @@ impl Operator for VecSource {
     /// skips every per-tuple guard check in the batch (the common case when
     /// guards constrain ranges the stream has moved past, or never enters);
     /// only inconclusive batches fall back to per-tuple `decide`.
+    ///
+    /// With pacing enabled the batch shrinks to the leading run of tuples
+    /// that are already due; when a tuple that is not yet due ends the run,
+    /// the poll sleeps for its remaining delay (at most 1 ms, so the executor
+    /// keeps servicing control messages) before returning.
     fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
         if self.exhausted {
             return Ok(SourceState::Exhausted);
@@ -180,7 +233,15 @@ impl Operator for VecSource {
             self.exhausted = true;
             return Ok(SourceState::Exhausted);
         }
-        let batch = self.batch_size.min(self.tuples.as_slice().len());
+        let mut batch = self.batch_size.min(self.tuples.as_slice().len());
+        let mut wait = None;
+        if let Some(speedup) = self.pacing_speedup {
+            (batch, wait) = self.paced_run(speedup, batch)?;
+            if batch == 0 {
+                std::thread::sleep(wait.unwrap_or_default().min(Duration::from_millis(1)));
+                return Ok(SourceState::Producing);
+            }
+        }
         let decision = if self.batch_guards {
             // Disjoint field borrows: the registry mutates stats while the
             // summaries read the not-yet-drained tail of the replay vector.
@@ -245,6 +306,9 @@ impl Operator for VecSource {
             self.exhausted = true;
             return Ok(SourceState::Exhausted);
         }
+        if let Some(delay) = wait {
+            std::thread::sleep(delay.min(Duration::from_millis(1)));
+        }
         Ok(SourceState::Producing)
     }
 
@@ -303,194 +367,10 @@ struct VecSourceSnapshot {
     registry: FeedbackRegistry,
 }
 
-/// A source driven by an arbitrary iterator of [`Tuple`]s (possibly lazily
-/// generated), with the same punctuation and feedback behaviour as
-/// [`VecSource`], plus optional *real-time pacing*: with a pacing factor set,
-/// the source releases tuples so that stream time advances at
-/// `speedup × wall-clock time`, which is how live sources behave and what the
-/// divergence dynamics of Experiment 1 depend on.
-pub struct GeneratorSource {
-    name: String,
-    generator: Box<dyn Iterator<Item = Tuple> + Send>,
-    timestamp_attribute: Option<String>,
-    /// Index of `timestamp_attribute`, resolved from the first tuple's schema
-    /// (see `VecSource::timestamp_index`).
-    timestamp_index: Option<usize>,
-    punctuation_period: StreamDuration,
-    last_punctuated: Option<Timestamp>,
-    batch_size: usize,
-    registry: FeedbackRegistry,
-    exhausted: bool,
-    /// Stream seconds per wall-clock second (None = replay as fast as possible).
-    pacing_speedup: Option<f64>,
-    pacing_origin: Option<(std::time::Instant, Timestamp)>,
-    pending: Option<Tuple>,
-}
-
-impl GeneratorSource {
-    /// Creates a source pulling tuples from the iterator.
-    pub fn new(
-        name: impl Into<String>,
-        generator: impl Iterator<Item = Tuple> + Send + 'static,
-    ) -> Self {
-        let name = name.into();
-        GeneratorSource {
-            registry: FeedbackRegistry::new(name.clone()),
-            name,
-            generator: Box::new(generator),
-            timestamp_attribute: None,
-            timestamp_index: None,
-            punctuation_period: StreamDuration::from_secs(60),
-            last_punctuated: None,
-            batch_size: 64,
-            exhausted: false,
-            pacing_speedup: None,
-            pacing_origin: None,
-            pending: None,
-        }
-    }
-
-    /// Enables progress punctuation on `attribute` every `period`; as for
-    /// [`VecSource::with_punctuation`], the generated tuples must be
-    /// timestamp-ordered on it.
-    pub fn with_punctuation(
-        mut self,
-        attribute: impl Into<String>,
-        period: StreamDuration,
-    ) -> Self {
-        self.timestamp_attribute = Some(attribute.into());
-        self.punctuation_period = period;
-        self
-    }
-
-    /// Sets how many tuples are emitted per `poll_source` call.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
-        self
-    }
-
-    /// Enables real-time pacing: stream time advances at `speedup` stream
-    /// seconds per wall-clock second (requires punctuation/pacing to know the
-    /// timestamp attribute via [`with_punctuation`](Self::with_punctuation)).
-    pub fn with_pacing(mut self, speedup: f64) -> Self {
-        self.pacing_speedup = Some(speedup.max(f64::MIN_POSITIVE));
-        self
-    }
-
-    /// Returns how long the release of a tuple timestamped `ts` should still
-    /// be delayed under the pacing policy.
-    fn pacing_delay(&mut self, ts: Timestamp) -> Option<std::time::Duration> {
-        let speedup = self.pacing_speedup?;
-        let (origin_wall, origin_ts) =
-            *self.pacing_origin.get_or_insert_with(|| (std::time::Instant::now(), ts));
-        let stream_elapsed_ms = (ts - origin_ts).as_millis().max(0) as f64;
-        let target =
-            origin_wall + std::time::Duration::from_secs_f64(stream_elapsed_ms / 1_000.0 / speedup);
-        let now = std::time::Instant::now();
-        if now < target {
-            Some(target - now)
-        } else {
-            None
-        }
-    }
-}
-
-impl Operator for GeneratorSource {
-    fn feedback_roles(&self) -> FeedbackRoles {
-        FeedbackRoles::exploiter()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn on_tuple(
-        &mut self,
-        _input: usize,
-        _tuple: Tuple,
-        _ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        Ok(())
-    }
-
-    fn on_feedback(
-        &mut self,
-        _output: usize,
-        feedback: FeedbackPunctuation,
-        _ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        let _ = self.registry.register(feedback);
-        Ok(())
-    }
-
-    fn poll_source(&mut self, ctx: &mut OperatorContext) -> EngineResult<SourceState> {
-        if self.exhausted {
-            return Ok(SourceState::Exhausted);
-        }
-        for _ in 0..self.batch_size {
-            match self.pending.take().or_else(|| self.generator.next()) {
-                Some(tuple) => {
-                    if self.timestamp_attribute.is_some() {
-                        let index = match self.timestamp_index {
-                            Some(index) => index,
-                            None => {
-                                let attr =
-                                    self.timestamp_attribute.as_deref().expect("checked above");
-                                let index =
-                                    tuple.schema().index_of(attr).map_err(EngineError::from)?;
-                                self.timestamp_index = Some(index);
-                                index
-                            }
-                        };
-                        let ts = tuple.timestamp_at(index)?;
-                        if let Some(delay) = self.pacing_delay(ts) {
-                            // Not yet due: hold the tuple, yield briefly so the
-                            // executor keeps servicing control messages, and
-                            // retry on the next poll.
-                            self.pending = Some(tuple);
-                            std::thread::sleep(delay.min(std::time::Duration::from_millis(1)));
-                            return Ok(SourceState::Producing);
-                        }
-                        let boundary = ts.align_down(self.punctuation_period);
-                        let due = match self.last_punctuated {
-                            None => true,
-                            Some(prev) => boundary > prev,
-                        };
-                        if due {
-                            let attr = self.timestamp_attribute.as_deref().expect("checked above");
-                            let watermark = boundary - StreamDuration::from_millis(1);
-                            let p = Punctuation::progress(tuple.schema().clone(), attr, watermark)?;
-                            self.registry.expire_with(&p);
-                            ctx.emit_punctuation(0, p);
-                            self.last_punctuated = Some(boundary);
-                        }
-                    }
-                    if self.registry.decide(&tuple) == GuardDecision::Suppress {
-                        continue;
-                    }
-                    ctx.emit(0, tuple);
-                }
-                None => {
-                    self.exhausted = true;
-                    return Ok(SourceState::Exhausted);
-                }
-            }
-        }
-        Ok(SourceState::Producing)
-    }
-
-    fn feedback_stats(&self) -> Option<dsms_feedback::FeedbackStats> {
-        Some(self.registry.stats().clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsms_engine::StreamItem;
     use dsms_punctuation::{Pattern, PatternItem};
     use dsms_types::{DataType, Schema, SchemaRef, Value};
 
@@ -510,8 +390,8 @@ mod tests {
             let state = source.poll_source(&mut ctx).unwrap();
             for (_, item) in ctx.take_emitted() {
                 match item {
-                    dsms_engine::StreamItem::Tuple(t) => tuples.push(t),
-                    dsms_engine::StreamItem::Punctuation(_) => punctuations += 1,
+                    StreamItem::Tuple(t) => tuples.push(t),
+                    StreamItem::Punctuation(_) => punctuations += 1,
                 }
             }
             if state == SourceState::Exhausted {
@@ -596,17 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn generator_source_is_equivalent_to_vec_source() {
-        let data: Vec<Tuple> = (0..50).map(|i| tuple(i, i)).collect();
-        let mut gen_src = GeneratorSource::new("gen", data.clone().into_iter())
-            .with_punctuation("timestamp", StreamDuration::from_secs(10))
-            .with_batch_size(3);
-        let (tuples, punctuations) = drain(&mut gen_src);
-        assert_eq!(tuples, data);
-        assert!(punctuations > 0);
-    }
-
-    #[test]
     fn progress_punctuation_expires_the_guards_it_releases() {
         let data: Vec<Tuple> = (0..240).map(|i| tuple(i, i % 3)).collect();
         let first_minute_of_segment_1 = Pattern::for_attributes(
@@ -626,27 +495,90 @@ mod tests {
         let segment_2 =
             Pattern::for_attributes(schema(), &[("segment", PatternItem::Eq(Value::Int(2)))])
                 .unwrap();
-        let period = StreamDuration::from_secs(60);
-        let sources: [Box<dyn Operator>; 2] = [
-            Box::new(VecSource::new("vec", data.clone()).with_punctuation("timestamp", period)),
-            Box::new(
-                GeneratorSource::new("gen", data.clone().into_iter())
-                    .with_punctuation("timestamp", period),
-            ),
-        ];
-        for mut source in sources {
-            let mut ctx = OperatorContext::new();
-            for pattern in [&first_minute_of_segment_1, &segment_2] {
-                let guard = FeedbackPunctuation::assumed(pattern.clone(), "sink");
-                source.on_feedback(0, guard, &mut ctx).unwrap();
-            }
-            let (tuples, _) = drain(source.as_mut());
-            let kept = |t: &Tuple| !first_minute_of_segment_1.matches(t) && !segment_2.matches(t);
-            let expected: Vec<Tuple> = data.iter().filter(|t| kept(t)).cloned().collect();
-            assert_eq!(tuples, expected, "{}: expiry changes no decision", source.name());
-            let stats = source.feedback_stats().unwrap();
-            assert_eq!(stats.guards_expired, 1, "{}: the scoped guard, once", source.name());
+        let mut source = VecSource::new("vec", data.clone())
+            .with_punctuation("timestamp", StreamDuration::from_secs(60));
+        let mut ctx = OperatorContext::new();
+        for pattern in [&first_minute_of_segment_1, &segment_2] {
+            let guard = FeedbackPunctuation::assumed(pattern.clone(), "sink");
+            source.on_feedback(0, guard, &mut ctx).unwrap();
         }
+        let (tuples, _) = drain(&mut source);
+        let kept = |t: &Tuple| !first_minute_of_segment_1.matches(t) && !segment_2.matches(t);
+        let expected: Vec<Tuple> = data.iter().filter(|t| kept(t)).cloned().collect();
+        assert_eq!(tuples, expected, "expiry changes no decision");
+        let stats = source.feedback_stats().unwrap();
+        assert_eq!(stats.guards_expired, 1, "the scoped guard, once");
+    }
+
+    #[test]
+    fn pacing_releases_no_faster_than_the_speedup() {
+        // Two stream seconds of tuples, 100 ms apart, replayed at 20x: the
+        // last tuple is due 100 ms of wall time after the first.
+        let data: Vec<Tuple> = (0..=20)
+            .map(|i| {
+                Tuple::new(
+                    schema(),
+                    vec![Value::Timestamp(Timestamp::from_millis(i * 100)), Value::Int(i)],
+                )
+            })
+            .collect();
+        let mut src = VecSource::new("paced", data.clone())
+            .with_punctuation("timestamp", StreamDuration::from_secs(1))
+            .with_batch_size(4)
+            .with_pacing(20.0);
+        let started = std::time::Instant::now();
+        let (tuples, punctuations) = drain(&mut src);
+        let elapsed = started.elapsed();
+        assert_eq!(tuples, data, "pacing delays tuples, it drops none");
+        assert_eq!(punctuations, 3, "one per stream second, as without pacing");
+        assert!(elapsed >= Duration::from_millis(100), "2 s of stream at 20x took {elapsed:?}");
+    }
+
+    #[test]
+    fn restored_source_replays_an_identical_suffix() {
+        use dsms_workloads::{TrafficConfig, TrafficGenerator};
+        let config = TrafficConfig { segments: 3, ..TrafficConfig::small() };
+        let data: Vec<Tuple> = TrafficGenerator::new(config).collect();
+        assert!(data.len() > 200, "a stream long enough to cut mid-way");
+        let segment_1 = Pattern::for_attributes(
+            TrafficGenerator::schema(),
+            &[("segment", PatternItem::Eq(Value::Int(1)))],
+        )
+        .unwrap();
+        let mut src = VecSource::new("detectors", data)
+            .with_punctuation("timestamp", StreamDuration::from_secs(60))
+            .with_batch_size(16);
+        let mut ctx = OperatorContext::new();
+        src.on_feedback(0, FeedbackPunctuation::assumed(segment_1, "sink"), &mut ctx).unwrap();
+        for _ in 0..5 {
+            assert_eq!(src.poll_source(&mut ctx).unwrap(), SourceState::Producing);
+        }
+        ctx.take_emitted();
+        assert!(src.restartable());
+        let snapshot = src.checkpoint().unwrap();
+        let suffix = |src: &mut VecSource| {
+            let mut ctx = OperatorContext::new();
+            while src.poll_source(&mut ctx).unwrap() == SourceState::Producing {}
+            ctx.take_emitted()
+        };
+        let first = suffix(&mut src);
+        src.restore(snapshot).unwrap();
+        let replayed = suffix(&mut src);
+        assert!(!first.is_empty());
+        assert_eq!(first.len(), replayed.len());
+        for ((port_a, a), (port_b, b)) in first.iter().zip(&replayed) {
+            assert_eq!(port_a, port_b);
+            match (a, b) {
+                (StreamItem::Tuple(a), StreamItem::Tuple(b)) => assert_eq!(a, b),
+                (StreamItem::Punctuation(a), StreamItem::Punctuation(b)) => {
+                    assert_eq!(a.watermark_for("timestamp"), b.watermark_for("timestamp"))
+                }
+                _ => panic!("the replay diverged: {a:?} vs {b:?}"),
+            }
+        }
+        assert!(replayed
+            .iter()
+            .all(|(_, item)| item.as_tuple().is_none_or(|t| t.int("segment").unwrap() != 1)));
     }
 
     #[test]

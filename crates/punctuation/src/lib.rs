@@ -1,7 +1,6 @@
 //! # dsms-punctuation
 //!
-//! Embedded punctuation, pattern algebra, punctuation schemes and
-//! stream-progress tracking.
+//! Embedded punctuation, pattern algebra and punctuation schemes.
 //!
 //! Punctuation (Tucker et al.) is the substrate the paper's feedback
 //! mechanism is built on: a punctuation is a tuple-shaped *pattern* that
@@ -19,8 +18,10 @@
 //! * [`scheme::PunctuationScheme`] — which attributes of a stream are
 //!   *delimited* (covered by embedded punctuation), which bounds the feedback
 //!   that is *supportable* without unbounded state (paper Section 4.4).
-//! * [`progress::ProgressTracker`] — per-attribute high-watermarks derived
-//!   from embedded punctuation, used by PACE and by feedback expiration.
+//!
+//! Stream progress is read off a punctuation with
+//! [`Punctuation::watermark_for`]; the operators that combine progress across
+//! inputs keep their own per-input watermarks.
 //!
 //! Feedback punctuation itself (assumed `¬`, desired `?`, demanded `!`) lives
 //! in the `dsms-feedback` crate and reuses [`Pattern`] for its predicates.
@@ -29,11 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod pattern;
-pub mod progress;
 pub mod punctuation;
 pub mod scheme;
 
 pub use pattern::{CompiledPattern, Pattern, PatternItem, SummaryMatch};
-pub use progress::ProgressTracker;
 pub use punctuation::{Punctuation, StageDirective};
 pub use scheme::PunctuationScheme;

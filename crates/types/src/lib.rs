@@ -39,7 +39,7 @@ pub mod value;
 pub use column::ColumnSummary;
 pub use error::{TypeError, TypeResult};
 pub use hash::{fixed_hash, FixedHasher, FixedState};
-pub use schema::{DataType, Field, Schema, SchemaBuilder, SchemaRef};
+pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use time::{StreamDuration, Timestamp};
 pub use tuple::{Tuple, TupleBuilder};
 pub use value::Value;

@@ -201,30 +201,6 @@ impl fmt::Display for Schema {
     }
 }
 
-/// Incremental builder for [`Schema`].
-#[derive(Debug, Default, Clone)]
-pub struct SchemaBuilder {
-    fields: Vec<Field>,
-}
-
-impl SchemaBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        SchemaBuilder::default()
-    }
-
-    /// Adds an attribute.
-    pub fn field(mut self, name: impl Into<String>, data_type: DataType) -> Self {
-        self.fields.push(Field::new(name, data_type));
-        self
-    }
-
-    /// Finalizes the schema.
-    pub fn build(self) -> TypeResult<SchemaRef> {
-        Ok(Arc::new(Schema::try_new(self.fields)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,14 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_shared_constructor_agree() {
-        let a = SchemaBuilder::new()
-            .field("ts", DataType::Timestamp)
-            .field("v", DataType::Float)
-            .build()
-            .unwrap();
-        let b = Schema::shared(&[("ts", DataType::Timestamp), ("v", DataType::Float)]);
-        assert_eq!(*a, *b);
+    fn shared_constructor_agrees_with_fields() {
+        let a = Schema::shared(&[("ts", DataType::Timestamp), ("v", DataType::Float)]);
+        let b = Schema::new(vec![
+            Field::new("ts", DataType::Timestamp),
+            Field::new("v", DataType::Float),
+        ]);
+        assert_eq!(*a, b);
         assert_eq!(a.describe(), "(ts: timestamp, v: float)");
     }
 

@@ -20,7 +20,7 @@ fn run(feedback: bool) -> (usize, usize) {
     let builder = StreamBuilder::new().with_page_capacity(4);
     let readings = builder
         .source_as(
-            GeneratorSource::new("sensors", ImputationGenerator::new(config))
+            VecSource::new("sensors", ImputationGenerator::new(config).collect())
                 .with_punctuation("timestamp", StreamDuration::from_secs(1))
                 .with_batch_size(8)
                 .with_pacing(20.0), // 20 stream seconds per wall-clock second

@@ -19,7 +19,7 @@ fn main() {
     // the client asks.
     let gated = builder
         .source_as(
-            GeneratorSource::new("ticks", FinancialGenerator::new(config))
+            VecSource::new("ticks", FinancialGenerator::new(config).collect())
                 .with_punctuation("timestamp", StreamDuration::from_secs(30)),
             tick_schema,
         )

@@ -32,7 +32,7 @@ fn main() {
     // The sensor side aggregates per (segment, 1-minute window).
     let sensor_avg = builder
         .source_as(
-            GeneratorSource::new("fixed-sensors", TrafficGenerator::new(sensor_config))
+            VecSource::new("fixed-sensors", TrafficGenerator::new(sensor_config).collect())
                 .with_punctuation("timestamp", StreamDuration::from_secs(60)),
             sensor_schema,
         )
@@ -45,7 +45,7 @@ fn main() {
     // and minute so both join inputs share the (window, segment) key.
     let probe_avg = builder
         .source_as(
-            GeneratorSource::new("probe-vehicles", ProbeGenerator::new(probe_config))
+            VecSource::new("probe-vehicles", ProbeGenerator::new(probe_config).collect())
                 .with_punctuation("timestamp", StreamDuration::from_secs(60)),
             probe_schema.clone(),
         )

@@ -9,8 +9,7 @@
 //! crate:
 //!
 //! * [`types`] — values, schemas, tuples, stream time;
-//! * [`punctuation`] — embedded punctuation, pattern algebra, schemes,
-//!   progress tracking;
+//! * [`punctuation`] — embedded punctuation, pattern algebra, schemes;
 //! * [`feedback`] — **the paper's contribution**: feedback punctuation
 //!   (assumed `¬`, desired `?`, demanded `!`), correctness, characterizations,
 //!   registries and policies;
@@ -86,10 +85,10 @@ pub mod prelude {
     };
     pub use dsms_operators::{
         AggregateFunction, ArchivalStore, Chaos, CollectSink, Costed, Duplicate, ElasticController,
-        ElasticPolicy, ElasticReplica, FanoutController, FaultSpec, GeneratorSource, ImpatientJoin,
-        Impute, Merge, OnDemandGate, Pace, Prioritizer, Project, QualityFilter, Select,
-        SharedFanout, Shuffle, Split, StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink,
-        TuplePredicate, VecSource, WindowAggregate,
+        ElasticPolicy, ElasticReplica, FanoutController, FaultSpec, ImpatientJoin, Impute, Merge,
+        OnDemandGate, Pace, Prioritizer, Project, QualityFilter, Select, SharedFanout, Shuffle,
+        Split, StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink, TuplePredicate, VecSource,
+        WindowAggregate,
     };
     pub use dsms_punctuation::{
         CompiledPattern, Pattern, PatternItem, Punctuation, PunctuationScheme,
@@ -212,6 +211,7 @@ mod tests {
         let _ = ArchivalStore::synthetic(std::time::Duration::from_micros(1), 40.0);
         let _ = Shuffle::new("shuffle", schema.clone(), &["v"], 2).unwrap();
         let _ = Merge::new("merge", schema.clone(), 2);
+        let _ = VecSource::new("paced", Vec::new()).with_pacing(10.0);
         let _ = Costed::blocking_io(
             Select::new("costed", schema.clone(), TuplePredicate::always()),
             std::time::Duration::ZERO,

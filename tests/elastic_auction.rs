@@ -1,7 +1,7 @@
 //! NEXMark-style integration smoke: the bid/auction workload generator
 //! (paper Section 4.4) drives an *adaptive* elastic stage end to end.
 //!
-//! A [`GeneratorSource`] streams `(timestamp, auction, bidder, amount)` bids
+//! A [`VecSource`] streams `(timestamp, auction, bidder, amount)` bids
 //! in timestamp order with periodic progress punctuation; the stage computes
 //! the per-auction windowed MAX bid behind a shuffle keyed on `auction`.  The
 //! elastic policy here is [`ElasticPolicy::Adaptive`] — scale decisions come
@@ -15,8 +15,8 @@ use feedback_dsms::workloads::{AuctionConfig, AuctionGenerator};
 
 const MAX_WIDTH: usize = 4;
 
-fn bids() -> GeneratorSource {
-    GeneratorSource::new("bids", AuctionGenerator::new(AuctionConfig::default()))
+fn bids() -> VecSource {
+    VecSource::new("bids", AuctionGenerator::new(AuctionConfig::default()).collect())
         .with_punctuation("timestamp", StreamDuration::from_secs(30))
 }
 

@@ -195,7 +195,7 @@ fn pace_feedback_reduces_wasted_imputation_work() {
         let builder = StreamBuilder::new().with_page_capacity(4);
         let (dirty, clean) = builder
             .source_as(
-                GeneratorSource::new("sensors", ImputationGenerator::new(config))
+                VecSource::new("sensors", ImputationGenerator::new(config).collect())
                     .with_punctuation("timestamp", StreamDuration::from_secs(1))
                     .with_batch_size(8)
                     .with_pacing(40.0),
