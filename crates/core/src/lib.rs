@@ -66,7 +66,7 @@ pub use error::{FeedbackError, FeedbackResult};
 pub use intent::{FeedbackIntent, FeedbackPunctuation};
 pub use mapping::{AttributeMapping, PropagationOutcome};
 pub use merge::FeedbackMerge;
-pub use policy::{EventDrivenPolicy, ExplicitPolicy, FeedbackSource};
+pub use policy::{EventDrivenPolicy, ExplicitPolicy};
 pub use registry::{BatchGuardDecision, FeedbackRegistry, GuardDecision};
 pub use roles::FeedbackRoles;
 pub use spec::{FeedbackSpec, FeedbackTrigger};

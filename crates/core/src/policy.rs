@@ -18,17 +18,6 @@ use dsms_punctuation::{Pattern, PatternItem};
 use dsms_types::{SchemaRef, StreamDuration, Timestamp, TypeResult, Value};
 use std::collections::BTreeSet;
 
-/// Which of the paper's three source families produced a piece of feedback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FeedbackSource {
-    /// Declared with the query (policy enforcement).
-    Explicit,
-    /// Discovered by an operator from its own stream/state.
-    Adaptive,
-    /// Triggered by an external/application event.
-    EventDriven,
-}
-
 /// An explicit disorder-bound policy, as used by PACE (Example 3 /
 /// Experiment 1): when the union's two inputs diverge by more than
 /// `tolerance`, tuples older than `high_watermark − tolerance` are being

@@ -30,8 +30,10 @@ use dsms_feedback::{
     Monotonicity, PropagationRule,
 };
 use dsms_punctuation::{Pattern, PatternItem, Punctuation};
-use dsms_types::{DataType, Schema, SchemaRef, StreamDuration, Timestamp, Tuple, Value};
-use std::collections::{BTreeMap, HashSet};
+use dsms_types::{
+    DataType, FixedState, Schema, SchemaRef, StreamDuration, Timestamp, Tuple, Value,
+};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The aggregate function computed per window and group.
@@ -177,8 +179,35 @@ impl Accumulator {
     }
 }
 
-/// Key of one partial aggregate: the window id plus the group-by values.
-type StateKey = (i64, Vec<Value>);
+/// The open partial aggregates of one window, keyed by group-by values.
+/// Lookups borrow the tuple's values (`&[Value]`); a key is allocated only
+/// when a group opens.
+type Groups = HashMap<Vec<Value>, Accumulator, FixedState>;
+
+/// Open windows by window id, each with its groups.  Windows iterate in
+/// window order, so the closed ones are always a prefix.
+type WindowState = BTreeMap<i64, Groups>;
+
+/// Drains `groups` in ascending group order, the order every result leaves
+/// the aggregate in.
+fn drain_in_group_order(groups: Groups) -> Vec<(Vec<Value>, Accumulator)> {
+    let mut drained: Vec<_> = groups.into_iter().collect();
+    drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    drained
+}
+
+/// The group-by values of `tuple`: borrowed in place for one group column,
+/// gathered into the reused `scratch` buffer otherwise.
+fn group_key<'a>(indices: &[usize], tuple: &'a Tuple, scratch: &'a mut Vec<Value>) -> &'a [Value] {
+    match indices {
+        [i] => std::slice::from_ref(&tuple.values()[*i]),
+        _ => {
+            scratch.clear();
+            scratch.extend(indices.iter().map(|i| tuple.values()[*i].clone()));
+            scratch
+        }
+    }
+}
 
 /// A tumbling-window grouped aggregate with Table-1 feedback behaviour.
 pub struct WindowAggregate {
@@ -196,7 +225,9 @@ pub struct WindowAggregate {
     value_index: Option<usize>,
     feedback_mode: FeedbackMode,
     spec: AggregateSpec,
-    state: BTreeMap<StateKey, Accumulator>,
+    state: WindowState,
+    /// Reused buffer for multi-column group keys.
+    scratch: Vec<Value>,
     /// Guards over the input schema (Table 1's guard-input action), expired
     /// by the punctuation the aggregate receives.
     input_guards: FeedbackRegistry,
@@ -278,7 +309,8 @@ impl WindowAggregate {
             value_index,
             feedback_mode: FeedbackMode::ExploitAndPropagate,
             spec,
-            state: BTreeMap::new(),
+            state: WindowState::new(),
+            scratch: Vec::new(),
             guarded_groups: HashSet::new(),
             emitted_watermark: None,
         })
@@ -297,13 +329,13 @@ impl WindowAggregate {
 
     /// Number of open `(window, group)` partial aggregates.
     pub fn open_groups(&self) -> usize {
-        self.state.len()
+        self.state.values().map(HashMap::len).sum()
     }
 
-    fn output_tuple(&self, key: &StateKey, acc: &Accumulator) -> Tuple {
+    fn output_tuple(&self, wid: i64, group: &[Value], acc: &Accumulator) -> Tuple {
         let mut values = Vec::with_capacity(self.output_schema.arity());
-        values.push(Value::Timestamp(Timestamp::from_millis(key.0 * self.window.as_millis())));
-        values.extend(key.1.iter().cloned());
+        values.push(Value::Timestamp(Timestamp::from_millis(wid * self.window.as_millis())));
+        values.extend(group.iter().cloned());
         values.push(acc.value());
         Tuple::new(self.output_schema.clone(), values)
     }
@@ -314,21 +346,29 @@ impl WindowAggregate {
 
     /// Folds one tuple into its `(window, group)` partial aggregate.  Guard
     /// checks have already happened (or were proven unnecessary for the whole
-    /// batch).
-    fn accumulate(&mut self, tuple: &Tuple, group: Vec<Value>) -> EngineResult<()> {
+    /// batch).  Only a group's first tuple allocates its key.
+    fn accumulate(&mut self, tuple: &Tuple) -> EngineResult<()> {
         let ts = tuple.timestamp_at(self.timestamp_index)?;
         let wid = ts.window_id(self.window);
         let value = self.value_index.and_then(|i| tuple.values()[i].numeric());
-        let acc =
-            self.state.entry((wid, group)).or_insert_with(|| Accumulator::new(&self.function));
-        acc.fold(value);
+        let groups = self.state.entry(wid).or_default();
+        let group = group_key(&self.group_indices, tuple, &mut self.scratch);
+        match groups.get_mut(group) {
+            Some(acc) => acc.fold(value),
+            None => {
+                let mut acc = Accumulator::new(&self.function);
+                acc.fold(value);
+                groups.insert(group.to_vec(), acc);
+            }
+        }
         Ok(())
     }
 
     /// True when the purged-group guard set provably misses every row of the
-    /// page: the single group column's summary range excludes every guarded
-    /// group key.  Conservative — multi-attribute groups and pages with null
-    /// group values return `false` (per-tuple fallback).
+    /// page: the single group column's summary excludes every guarded group
+    /// key, by range or by integer mask.  Conservative — multi-attribute
+    /// groups and pages with null group values return `false` (per-tuple
+    /// fallback).
     fn groups_provably_unguarded(&self, page: &dsms_engine::Page) -> bool {
         if self.guarded_groups.is_empty() {
             return true;
@@ -345,13 +385,19 @@ impl WindowAggregate {
         let (Some(min), Some(max)) = (summary.min(), summary.max()) else {
             return false;
         };
-        self.guarded_groups.iter().all(|g| g.first().is_some_and(|v| v < min || v > max))
+        self.guarded_groups
+            .iter()
+            .all(|g| g.first().is_some_and(|v| v < min || v > max || summary.excludes(v)))
     }
 
-    fn emit_window(&mut self, key: &StateKey, acc: &Accumulator, ctx: &mut OperatorContext) {
-        let out = self.output_tuple(key, acc);
-        if !self.output_guarded(&out) {
-            ctx.emit(0, out);
+    /// Emits the results of one closed window's groups, in group order,
+    /// honouring the output guards.
+    fn emit_window(&mut self, wid: i64, groups: Groups, ctx: &mut OperatorContext) {
+        for (group, acc) in drain_in_group_order(groups) {
+            let out = self.output_tuple(wid, &group, &acc);
+            if !self.output_guarded(&out) {
+                ctx.emit(0, out);
+            }
         }
     }
 
@@ -370,26 +416,22 @@ impl WindowAggregate {
         // always follows a closed window, never an empty prefix (a shared
         // fan-out counts output punctuations as window boundaries).
         let already_complete = *self.emitted_watermark.get_or_insert_with(|| {
-            let first_window = self.state.keys().next().map(|(wid, _)| {
+            let first_window = self.state.keys().next().map(|wid| {
                 Timestamp::from_millis(wid * self.window.as_millis())
                     - StreamDuration::from_millis(1)
             });
             first_window.map_or(complete, |first| first.min(complete))
         });
-        let closeable: Vec<StateKey> = self
-            .state
-            .keys()
-            .filter(|(wid, _)| {
-                let window_end = Timestamp::from_millis((wid + 1) * self.window.as_millis())
-                    - StreamDuration::from_millis(1);
-                window_end <= watermark
-            })
-            .cloned()
-            .collect();
-        for key in closeable {
-            if let Some(acc) = self.state.remove(&key) {
-                self.emit_window(&key, &acc, ctx);
+        // Window ends grow with the window id: the closed windows lead.
+        while let Some(entry) = self.state.first_entry() {
+            let wid = *entry.key();
+            let window_end = Timestamp::from_millis((wid + 1) * self.window.as_millis())
+                - StreamDuration::from_millis(1);
+            if window_end > watermark {
+                break;
             }
+            let groups = entry.remove();
+            self.emit_window(wid, groups, ctx);
         }
         if complete > already_complete {
             self.emitted_watermark = Some(complete);
@@ -432,16 +474,20 @@ impl Operator for WindowAggregate {
         tuple: Tuple,
         _ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        let group: Vec<Value> =
-            self.group_indices.iter().map(|i| tuple.values()[*i].clone()).collect();
-        if self.guarded_groups.contains(&group) {
+        if !self.guarded_groups.is_empty()
+            && self.guarded_groups.contains(group_key(
+                &self.group_indices,
+                &tuple,
+                &mut self.scratch,
+            ))
+        {
             self.input_guards.stats_mut().tuples_suppressed += 1;
             return Ok(());
         }
         if self.input_guards.decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
-        self.accumulate(&tuple, group)
+        self.accumulate(&tuple)
     }
 
     /// Columnar kernel: classifies the whole page against the input guards
@@ -508,11 +554,7 @@ impl Operator for WindowAggregate {
         } else {
             BatchGuardDecision::Mixed
         };
-        guarded_pass(self, input, page, decision, ctx, |avg, tuple, _| {
-            let group: Vec<Value> =
-                avg.group_indices.iter().map(|i| tuple.values()[*i].clone()).collect();
-            avg.accumulate(&tuple, group)
-        })
+        guarded_pass(self, input, page, decision, ctx, |avg, tuple, _| avg.accumulate(&tuple))
     }
 
     fn on_punctuation(
@@ -526,19 +568,12 @@ impl Operator for WindowAggregate {
         }
         // Group-complete punctuation on a grouping attribute closes that
         // group's windows (all of them — no more tuples for the group).
-        for (i, attr) in self.group_attributes.clone().iter().enumerate() {
-            if let Some(group_value) = punctuation.completed_group(attr) {
-                let closeable: Vec<StateKey> = self
-                    .state
-                    .keys()
-                    .filter(|(_, g)| g.get(i) == Some(&group_value))
-                    .cloned()
-                    .collect();
-                for key in closeable {
-                    if let Some(acc) = self.state.remove(&key) {
-                        self.emit_window(&key, &acc, ctx);
-                    }
-                }
+        for i in 0..self.group_attributes.len() {
+            let Some(group_value) = punctuation.completed_group(&self.group_attributes[i]) else {
+                continue;
+            };
+            for (wid, groups) in self.take_partials(|_, _, g, _| g.get(i) == Some(&group_value)) {
+                self.emit_window(wid, groups, ctx);
             }
         }
         // Input guards this punctuation releases can never match again.
@@ -587,10 +622,8 @@ impl Operator for WindowAggregate {
     }
 
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
-        let remaining: Vec<(StateKey, Accumulator)> =
-            std::mem::take(&mut self.state).into_iter().collect();
-        for (key, acc) in remaining {
-            self.emit_window(&key, &acc, ctx);
+        for (wid, groups) in std::mem::take(&mut self.state) {
+            self.emit_window(wid, groups, ctx);
         }
         Ok(())
     }
@@ -603,7 +636,12 @@ impl Operator for WindowAggregate {
     fn export_state(&mut self) -> Vec<StateEntry> {
         std::mem::take(&mut self.state)
             .into_iter()
-            .map(|((wid, group), acc)| StateEntry { key: group, payload: Box::new((wid, acc)) })
+            .flat_map(|(wid, groups)| {
+                drain_in_group_order(groups).into_iter().map(move |(group, acc)| StateEntry {
+                    key: group,
+                    payload: Box::new((wid, acc)),
+                })
+            })
             .collect()
     }
 
@@ -618,7 +656,7 @@ impl Operator for WindowAggregate {
             let (wid, acc) = *payload;
             // Routing keeps partitions disjoint and export drains local state,
             // so an entry never lands on an existing key.
-            self.state.insert((wid, entry.key), acc);
+            self.state.entry(wid).or_default().insert(entry.key, acc);
         }
         Ok(())
     }
@@ -649,7 +687,7 @@ impl Operator for WindowAggregate {
     }
 
     fn restore(&mut self, entries: Vec<StateEntry>) -> EngineResult<()> {
-        self.state = BTreeMap::new();
+        self.state = WindowState::new();
         self.input_guards = FeedbackRegistry::new(self.name.clone());
         self.output_guards = FeedbackRegistry::new(self.name.clone());
         self.guarded_groups = HashSet::new();
@@ -696,7 +734,7 @@ impl Operator for WindowAggregate {
 /// at a checkpoint so a restarted [`WindowAggregate`] neither re-emits nor
 /// loses a window.
 struct AggregateSnapshot {
-    state: BTreeMap<StateKey, Accumulator>,
+    state: WindowState,
     input_guards: FeedbackRegistry,
     output_guards: FeedbackRegistry,
     guarded_groups: HashSet<Vec<Value>>,
@@ -708,15 +746,51 @@ impl WindowAggregate {
     /// `pattern` (all of them for `None`), keeping the state and honouring
     /// the output guards.
     fn emit_partials(&mut self, pattern: Option<&Pattern>, ctx: &mut OperatorContext) {
-        let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-        for key in keys {
-            let Some(acc) = self.state.get(&key) else { continue };
-            let out = self.output_tuple(&key, acc);
+        let mut partials = Vec::with_capacity(self.open_groups());
+        for (wid, groups) in &self.state {
+            let mut in_order: Vec<_> = groups.iter().collect();
+            in_order.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            partials.extend(in_order.into_iter().map(|(g, acc)| self.output_tuple(*wid, g, acc)));
+        }
+        for out in partials {
             if pattern.is_none_or(|p| p.matches(&out)) && !self.output_guarded(&out) {
                 ctx.emit(0, out);
                 self.output_guards.stats_mut().partial_results += 1;
             }
         }
+    }
+
+    /// Removes every open partial `pick` selects, returning them by window
+    /// in window order; a window left without groups closes.
+    fn take_partials(
+        &mut self,
+        mut pick: impl FnMut(&Self, i64, &[Value], &Accumulator) -> bool,
+    ) -> Vec<(i64, Groups)> {
+        let mut state = std::mem::take(&mut self.state);
+        let mut taken = Vec::new();
+        for (wid, groups) in &mut state {
+            let (picked, kept): (Groups, Groups) =
+                std::mem::take(groups).into_iter().partition(|(g, acc)| pick(self, *wid, g, acc));
+            *groups = kept;
+            if !picked.is_empty() {
+                taken.push((*wid, picked));
+            }
+        }
+        state.retain(|_, groups| !groups.is_empty());
+        self.state = state;
+        taken
+    }
+
+    /// Removes every open partial whose current output tuple matches
+    /// `pattern`, counting them as purged state, and returns their groups.
+    fn purge_matching(&mut self, pattern: &Pattern) -> Vec<Vec<Value>> {
+        let purged = self.take_partials(|avg, wid, group, acc| {
+            pattern.matches(&avg.output_tuple(wid, group, acc))
+        });
+        let groups: Vec<Vec<Value>> =
+            purged.into_iter().flat_map(|(_, groups)| groups.into_keys()).collect();
+        self.input_guards.stats_mut().state_purged += groups.len() as u64;
+        groups
     }
 
     fn exploit_assumed(
@@ -747,33 +821,11 @@ impl WindowAggregate {
                     let _ = self.input_guards.register(feedback.relay(pattern.clone(), &self.name));
                 }
                 ExploitAction::PurgeState(pattern) => {
-                    let before = self.state.len();
-                    let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-                    for key in keys {
-                        if let Some(acc) = self.state.get(&key) {
-                            let out = self.output_tuple(&key, acc);
-                            if pattern.matches(&out) {
-                                self.state.remove(&key);
-                            }
-                        }
-                    }
-                    self.input_guards.stats_mut().state_purged +=
-                        (before - self.state.len()) as u64;
+                    self.purge_matching(pattern);
                 }
                 ExploitAction::PurgeAndGuardMatchingGroups => {
-                    let keys: Vec<StateKey> = self.state.keys().cloned().collect();
-                    let mut purged = 0u64;
-                    for key in keys {
-                        if let Some(acc) = self.state.get(&key) {
-                            let out = self.output_tuple(&key, acc);
-                            if feedback.pattern().matches(&out) {
-                                self.guarded_groups.insert(key.1.clone());
-                                self.state.remove(&key);
-                                purged += 1;
-                            }
-                        }
-                    }
-                    self.input_guards.stats_mut().state_purged += purged;
+                    let purged = self.purge_matching(feedback.pattern());
+                    self.guarded_groups.extend(purged);
                 }
             }
         }
@@ -1365,5 +1417,335 @@ mod tests {
             p.watermark_for("window"),
             Some(Timestamp::from_secs(60) - StreamDuration::from_millis(1))
         );
+    }
+
+    /// A reference fold over one ordered `(window, group)` map, and the
+    /// steps a property case drives it and the aggregate with.
+    mod model {
+        use super::*;
+        use dsms_engine::Page;
+        use proptest::prelude::*;
+
+        const WIDTH_MS: i64 = 100;
+
+        fn input() -> SchemaRef {
+            Schema::shared(&[
+                ("timestamp", DataType::Timestamp),
+                ("a", DataType::Int),
+                ("b", DataType::Text),
+            ])
+        }
+
+        fn aggregate(groups: &[&str]) -> WindowAggregate {
+            WindowAggregate::new(
+                "COUNT",
+                input(),
+                "timestamp",
+                StreamDuration::from_millis(WIDTH_MS),
+                groups,
+                AggregateFunction::Count,
+            )
+            .unwrap()
+        }
+
+        /// One emitted item: a result row, or an output punctuation's bound.
+        #[derive(Debug, PartialEq)]
+        enum Out {
+            Row(Vec<Value>),
+            Bound(Option<Timestamp>),
+        }
+
+        fn outputs(ctx: &mut OperatorContext) -> Vec<Out> {
+            ctx.take_emitted()
+                .into_iter()
+                .map(|(_, item)| match item {
+                    StreamItem::Tuple(t) => Out::Row(t.values().to_vec()),
+                    StreamItem::Punctuation(p) => Out::Bound(p.watermark_for("window")),
+                })
+                .collect()
+        }
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// A tuple `offset` ms past the watermark.
+            Tuple(i64, Value, Value),
+            /// Several such tuples in one page.
+            Page(Vec<(i64, Value, Value)>),
+            /// Advance the watermark by this many ms.
+            Progress(i64),
+            /// Declare group column `i` complete at a value.
+            GroupComplete(usize, Value),
+            /// Assumed `¬[a = v]`: purge, guard the input.
+            GroupFeedback(i64),
+            /// Assumed `¬[count ≥ k]`: purge and guard matching groups.
+            CountFeedback(i64),
+            /// Demanded `![a = v]`: partials for matching groups.
+            Demand(Value),
+            Poll,
+            Flush,
+            ExportImport,
+            CheckpointRestore,
+        }
+
+        fn a_value() -> impl Strategy<Value = Value> {
+            prop_oneof![(-2i64..4).prop_map(Value::Int), Just(Value::Null)]
+        }
+
+        fn b_value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Text("x".into())),
+                Just(Value::Text("y".into())),
+                Just(Value::Null)
+            ]
+        }
+
+        fn row() -> impl Strategy<Value = (i64, Value, Value)> {
+            (1i64..300, a_value(), b_value())
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
+                row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
+                row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
+                proptest::collection::vec(row(), 1..8).prop_map(Step::Page),
+                (0i64..250).prop_map(Step::Progress),
+                (0usize..2, a_value()).prop_map(|(i, v)| Step::GroupComplete(i, v)),
+                (0usize..2, b_value()).prop_map(|(i, v)| Step::GroupComplete(i, v)),
+                (-2i64..4).prop_map(Step::GroupFeedback),
+                (1i64..4).prop_map(Step::CountFeedback),
+                a_value().prop_map(Step::Demand),
+                Just(Step::Poll),
+                Just(Step::Flush),
+                Just(Step::ExportImport),
+                Just(Step::CheckpointRestore),
+            ]
+        }
+
+        /// The reference: one `BTreeMap<(window, group), _>`, iterated in
+        /// key order for every result it emits.
+        struct Model {
+            output: SchemaRef,
+            state: BTreeMap<(i64, Vec<Value>), Accumulator>,
+            guarded_groups: Vec<Vec<Value>>,
+            input_guards: Vec<Value>,
+            output_guards: Vec<Pattern>,
+            emitted_watermark: Option<Timestamp>,
+            out: Vec<Out>,
+        }
+
+        impl Model {
+            fn row(&self, (wid, group): &(i64, Vec<Value>), acc: &Accumulator) -> Tuple {
+                let mut values = vec![Value::Timestamp(Timestamp::from_millis(wid * WIDTH_MS))];
+                values.extend(group.iter().cloned());
+                values.push(acc.value());
+                Tuple::new(self.output.clone(), values)
+            }
+
+            fn tuple(&mut self, ts: i64, group: Vec<Value>) {
+                let a = &group[0];
+                if self.guarded_groups.contains(&group)
+                    || self.input_guards.iter().any(|v| PatternItem::Eq(v.clone()).matches(a))
+                {
+                    return;
+                }
+                let wid = ts.div_euclid(WIDTH_MS);
+                self.state
+                    .entry((wid, group))
+                    .or_insert_with(|| Accumulator::new(&AggregateFunction::Count))
+                    .fold(None);
+            }
+
+            /// Emits (and removes, if `remove`) every partial `keep` picks.
+            fn emit_where(
+                &mut self,
+                keep: impl Fn(&(i64, Vec<Value>), &Tuple) -> bool,
+                remove: bool,
+            ) {
+                let keys: Vec<_> = self.state.keys().cloned().collect();
+                for key in keys {
+                    let out = self.row(&key, &self.state[&key]);
+                    if !keep(&key, &out) {
+                        continue;
+                    }
+                    if remove {
+                        self.state.remove(&key);
+                    }
+                    if !self.output_guards.iter().any(|g| g.matches(&out)) {
+                        self.out.push(Out::Row(out.values().to_vec()));
+                    }
+                }
+            }
+
+            fn progress(&mut self, watermark: i64) {
+                let complete = watermark + 1 - (watermark + 1).rem_euclid(WIDTH_MS) - 1;
+                let first = self.state.keys().next().map(|(wid, _)| wid * WIDTH_MS - 1);
+                let already = *self.emitted_watermark.get_or_insert(Timestamp::from_millis(
+                    first.map_or(complete, |f| f.min(complete)),
+                ));
+                self.emit_where(|(wid, _), _| (wid + 1) * WIDTH_MS - 1 <= watermark, true);
+                if Timestamp::from_millis(complete) > already {
+                    self.emitted_watermark = Some(Timestamp::from_millis(complete));
+                    self.out.push(Out::Bound(Some(Timestamp::from_millis(complete))));
+                }
+            }
+        }
+
+        fn check(columns: usize, steps: &[Step]) {
+            let groups = &["a", "b"][..columns];
+            let mut op = aggregate(groups);
+            let output = op.output_schema().clone();
+            let mut model = Model {
+                output: output.clone(),
+                state: BTreeMap::new(),
+                guarded_groups: Vec::new(),
+                input_guards: Vec::new(),
+                output_guards: Vec::new(),
+                emitted_watermark: None,
+                out: Vec::new(),
+            };
+            let mut ctx = OperatorContext::new();
+            let mut watermark = -250i64;
+            let mut completed: Vec<(usize, Value)> = Vec::new();
+            // Tuples of a group already declared complete break the
+            // punctuation contract, so the test holds them back.
+            let admit = |completed: &[(usize, Value)], a: &Value, b: &Value| {
+                let key = [a, b];
+                !completed.iter().any(|(i, v)| key[*i] == v)
+            };
+            let make = |wm: i64, (offset, a, b): &(i64, Value, Value)| {
+                let ts = Value::Timestamp(Timestamp::from_millis(wm + offset));
+                Tuple::new(input(), vec![ts, a.clone(), b.clone()])
+            };
+            let key = |a: &Value, b: &Value| [a.clone(), b.clone()][..columns].to_vec();
+            for step in steps {
+                match step {
+                    Step::Tuple(offset, a, b) => {
+                        if admit(&completed, a, b) {
+                            let row = (*offset, a.clone(), b.clone());
+                            op.on_tuple(0, make(watermark, &row), &mut ctx).unwrap();
+                            model.tuple(watermark + offset, key(a, b));
+                        }
+                    }
+                    Step::Page(rows) => {
+                        let rows: Vec<_> =
+                            rows.iter().filter(|(_, a, b)| admit(&completed, a, b)).collect();
+                        let items = rows
+                            .iter()
+                            .map(|row| StreamItem::Tuple(make(watermark, row)))
+                            .collect();
+                        op.on_page(0, Page::from_items(items), &mut ctx).unwrap();
+                        for (offset, a, b) in rows {
+                            model.tuple(watermark + offset, key(a, b));
+                        }
+                    }
+                    Step::Progress(delta) => {
+                        watermark += delta;
+                        let p = Punctuation::progress(
+                            input(),
+                            "timestamp",
+                            Timestamp::from_millis(watermark),
+                        )
+                        .unwrap();
+                        op.on_punctuation(0, p, &mut ctx).unwrap();
+                        model.progress(watermark);
+                    }
+                    Step::GroupComplete(i, v) => {
+                        if *i < columns {
+                            let p = Punctuation::group_complete(input(), groups[*i], v.clone())
+                                .unwrap();
+                            op.on_punctuation(0, p, &mut ctx).unwrap();
+                            model.emit_where(|(_, g), _| g[*i] == *v, true);
+                            completed.push((*i, v.clone()));
+                        }
+                    }
+                    Step::GroupFeedback(v) => {
+                        let pattern = Pattern::for_attributes(
+                            output.clone(),
+                            &[("a", PatternItem::Eq(Value::Int(*v)))],
+                        )
+                        .unwrap();
+                        let fb = FeedbackPunctuation::assumed(pattern, "client");
+                        op.on_feedback(0, fb, &mut ctx).unwrap();
+                        model.state.retain(|(_, g), _| g[0] != Value::Int(*v));
+                        model.input_guards.push(Value::Int(*v));
+                    }
+                    Step::CountFeedback(k) => {
+                        let pattern = Pattern::for_attributes(
+                            output.clone(),
+                            &[("count", PatternItem::Ge(Value::Int(*k)))],
+                        )
+                        .unwrap();
+                        let fb = FeedbackPunctuation::assumed(pattern.clone(), "client");
+                        op.on_feedback(0, fb, &mut ctx).unwrap();
+                        let keys: Vec<_> = model.state.keys().cloned().collect();
+                        for key in keys {
+                            if pattern.matches(&model.row(&key, &model.state[&key])) {
+                                model.state.remove(&key);
+                                model.guarded_groups.push(key.1);
+                            }
+                        }
+                        model.output_guards.push(pattern);
+                    }
+                    Step::Demand(v) => {
+                        let pattern = Pattern::for_attributes(
+                            output.clone(),
+                            &[("a", PatternItem::Eq(v.clone()))],
+                        )
+                        .unwrap();
+                        let fb = FeedbackPunctuation::demanded(pattern.clone(), "client");
+                        op.on_feedback(0, fb, &mut ctx).unwrap();
+                        model.emit_where(|_, out| pattern.matches(out), false);
+                    }
+                    Step::Poll => {
+                        op.on_request_results(0, &mut ctx).unwrap();
+                        model.emit_where(|_, _| true, false);
+                    }
+                    Step::Flush => {
+                        op.on_flush(&mut ctx).unwrap();
+                        model.emit_where(|_, _| true, true);
+                    }
+                    Step::ExportImport => {
+                        let mut entries = op.export_state();
+                        assert_eq!(op.open_groups(), 0, "export drains");
+                        let exported: Vec<(i64, Vec<Value>)> = entries
+                            .iter()
+                            .map(|e| {
+                                let (wid, _) =
+                                    e.payload.downcast_ref::<(i64, Accumulator)>().unwrap();
+                                (*wid, e.key.clone())
+                            })
+                            .collect();
+                        let open: Vec<_> = model.state.keys().cloned().collect();
+                        assert_eq!(exported, open, "export in (window, group) order");
+                        entries.reverse();
+                        op.import_state(entries).unwrap();
+                    }
+                    Step::CheckpointRestore => {
+                        let snapshot = op.checkpoint().unwrap();
+                        op = aggregate(groups);
+                        op.restore(snapshot).unwrap();
+                    }
+                }
+                ctx.take_feedback();
+                let expected = std::mem::take(&mut model.out);
+                assert_eq!(outputs(&mut ctx), expected, "after {step:?}");
+                assert_eq!(op.open_groups(), model.state.len(), "after {step:?}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The group table emits what the ordered reference map emits,
+            /// in the same order, for one and for two group columns.
+            #[test]
+            fn group_table_matches_an_ordered_reference(
+                steps in proptest::collection::vec(step(), 1..60),
+            ) {
+                check(1, &steps);
+                check(2, &steps);
+            }
+        }
     }
 }

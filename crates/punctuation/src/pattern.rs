@@ -82,7 +82,10 @@ impl PatternItem {
     /// [`PatternItem::matches`], so every conclusive verdict is exact:
     ///
     /// * [`SummaryMatch::None`] needs only the range of the *non-null* values
-    ///   to lie outside the item (nulls never match a non-wildcard item);
+    ///   to lie outside the item (nulls never match a non-wildcard item) —
+    ///   or, for `Eq` and `InSet`, the summary's integer-presence mask to
+    ///   exclude every member ([`ColumnSummary::excludes`]), which proves a
+    ///   miss for a member inside the range;
     /// * [`SummaryMatch::All`] additionally requires a null-free column,
     ///   because a null row would fail the item even inside the range.
     ///
@@ -131,7 +134,7 @@ impl PatternItem {
         match self {
             PatternItem::Wildcard => SummaryMatch::All,
             PatternItem::Eq(v) => {
-                if v < min || v > max {
+                if v < min || v > max || summary.excludes(v) {
                     SummaryMatch::None
                 } else {
                     all_or_unknown(min == max && min == v)
@@ -173,7 +176,7 @@ impl PatternItem {
                 }
             }
             PatternItem::InSet(vs) => {
-                if vs.iter().all(|v| v < min || v > max) {
+                if vs.iter().all(|v| v < min || v > max || summary.excludes(v)) {
                     SummaryMatch::None
                 } else {
                     // Conclusive-all only for a constant column whose single
@@ -809,6 +812,47 @@ mod tests {
         assert_eq!(PatternItem::Wildcard.matches_summary(&nulls), All);
         // Empty: no claim either way.
         assert_eq!(PatternItem::Ge(Value::Int(0)).matches_summary(&ColumnSummary::new()), Unknown);
+    }
+
+    #[test]
+    fn summary_matching_uses_the_integer_mask_for_eq_and_in_set() {
+        use SummaryMatch::{All, None as NoneMatch, Unknown};
+        // Detectors 0..32 except 4 and 9: both lie inside the range.
+        let detectors: Vec<Value> =
+            (0..32).filter(|d| ![4, 9].contains(d)).map(Value::Int).collect();
+        let page = ColumnSummary::over_values(detectors.iter());
+        let eq = |v: i64| PatternItem::Eq(Value::Int(v)).matches_summary(&page);
+        let in_set = |vs: &[i64]| {
+            PatternItem::InSet(vs.iter().copied().map(Value::Int).collect()).matches_summary(&page)
+        };
+        assert_eq!(eq(4), NoneMatch);
+        assert_eq!(eq(5), Unknown);
+        assert_eq!(in_set(&[4, 9]), NoneMatch);
+        assert_eq!(in_set(&[4, 9, 10]), Unknown);
+        assert_eq!(in_set(&[4, 99]), NoneMatch, "99 is out of range, 4 masked");
+        // v and v + 64 share a bit: 68 is not provably absent.
+        let sixty_eight = ColumnSummary::over_values([Value::Int(4), Value::Int(200)].iter());
+        assert_eq!(PatternItem::Eq(Value::Int(68)).matches_summary(&sixty_eight), Unknown);
+        // Negative ints mask by `v & 63` too.
+        let negative = ColumnSummary::over_values([Value::Int(-10), Value::Int(-1)].iter());
+        assert_eq!(PatternItem::Eq(Value::Int(-5)).matches_summary(&negative), NoneMatch);
+        assert_eq!(PatternItem::Eq(Value::Int(-10)).matches_summary(&negative), Unknown);
+        // A Float probe equals an Int through `as f64`: never masked.
+        let ints = ColumnSummary::over_values([Value::Int(1), Value::Int(5)].iter());
+        assert_eq!(PatternItem::Eq(Value::Float(3.0)).matches_summary(&ints), Unknown);
+        assert_eq!(PatternItem::Eq(Value::Float(3.5)).matches_summary(&ints), Unknown);
+        // A mixed Int/Float column falls back to the range.
+        let mixed = ColumnSummary::over_values([Value::Int(1), Value::Float(5.0)].iter());
+        assert_eq!(PatternItem::Eq(Value::Int(3)).matches_summary(&mixed), Unknown);
+        assert_eq!(PatternItem::Eq(Value::Int(6)).matches_summary(&mixed), NoneMatch);
+        // Nulls do not disturb the mask; `All` is unchanged.
+        let with_null = ColumnSummary::over_values([Value::Int(1), Value::Null].iter());
+        assert_eq!(PatternItem::Eq(Value::Int(2)).matches_summary(&with_null), NoneMatch);
+        let constant = ColumnSummary::over_values([Value::Int(7), Value::Int(7)].iter());
+        assert_eq!(
+            PatternItem::InSet(vec![Value::Int(7), Value::Int(8)]).matches_summary(&constant),
+            All
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! These are exactly the properties exercised here with randomly generated
 //! items, values and patterns.
 
-use dsms_punctuation::{Pattern, PatternItem};
-use dsms_types::{DataType, Schema, SchemaRef, Timestamp, Tuple, Value};
+use dsms_punctuation::{Pattern, PatternItem, SummaryMatch};
+use dsms_types::{ColumnSummary, DataType, Schema, SchemaRef, Timestamp, Tuple, Value};
 use proptest::prelude::*;
 
 /// The definitional whole-tuple match: every item checked against its
@@ -27,6 +27,25 @@ fn naive_matches(pattern: &Pattern, tuple: &Tuple) -> bool {
 
 fn int_value() -> impl Strategy<Value = Value> {
     (-50i64..50).prop_map(Value::Int)
+}
+
+/// Column values for summary soundness: ints that collide modulo 64, floats
+/// that equal some of those ints (and some that do not), and nulls.
+fn column_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-70i64..140).prop_map(Value::Int),
+        (-70i64..140).prop_map(|v| Value::Float(v as f64)),
+        (-70.0f64..140.0).prop_map(Value::Float),
+        Just(Value::Null),
+    ]
+}
+
+/// `Eq` and `InSet` items over the same mix of probes.
+fn membership_item() -> impl Strategy<Value = PatternItem> {
+    prop_oneof![
+        column_value().prop_map(PatternItem::Eq),
+        proptest::collection::vec(column_value(), 1..5).prop_map(PatternItem::InSet),
+    ]
 }
 
 fn pattern_item() -> impl Strategy<Value = PatternItem> {
@@ -197,6 +216,35 @@ fn compiled_matching_extremes() {
         assert_eq!(compiled.matches(&t), expected, "{t}");
         assert_eq!(all_constrained.matches(&t), expected, "{t}");
         assert_eq!(naive_matches(&all_constrained, &t), expected, "{t}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Soundness of summary-level `Eq`/`InSet` classification, range and
+    /// integer mask together: `None` means no row matches, `All` means
+    /// every row does.
+    #[test]
+    fn membership_summary_verdicts_are_sound(
+        item in membership_item(),
+        ints in proptest::collection::vec((-70i64..140).prop_map(Value::Int), 0..12),
+        others in proptest::collection::vec(column_value(), 0..4),
+    ) {
+        // Mostly-int columns, so the mask is in play for most cases.
+        let column: Vec<Value> = ints.into_iter().chain(others).collect();
+        let summary = ColumnSummary::over_values(column.iter());
+        match item.matches_summary(&summary) {
+            SummaryMatch::None => prop_assert!(
+                column.iter().all(|v| !item.matches(v)),
+                "{item:?} claimed to miss {column:?}"
+            ),
+            SummaryMatch::All => prop_assert!(
+                column.iter().all(|v| item.matches(v)),
+                "{item:?} claimed to match all of {column:?}"
+            ),
+            SummaryMatch::Unknown => {}
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! A [`ColumnSummary`] condenses one attribute of a batch of tuples into four
 //! numbers — row count, null count, minimum and maximum under [`Value`]'s
-//! *total* order — which is exactly the information a punctuation pattern
-//! needs to classify the whole batch at once: "no row of this page can match
-//! `speed >= 50`" (max below 50) or "every row matches" (min at or above 50
-//! and no nulls).  The batch-level guard evaluation in `dsms-punctuation`
+//! *total* order — plus an integer-presence mask, which is exactly the
+//! information a punctuation pattern needs to classify the whole batch at
+//! once: "no row of this page can match `speed >= 50`" (max below 50), "every
+//! row matches" (min at or above 50 and no nulls), or "no row can be detector
+//! 7" (bit `7 & 63` of the mask clear, though 7 lies inside the range).  The batch-level guard evaluation in `dsms-punctuation`
 //! (`PatternItem::matches_summary`) and the `FeedbackRegistry::decide_batch`
 //! fast path in `dsms-feedback` are built on these summaries; the columnar
 //! page in `dsms-engine` computes them on demand per column.
@@ -13,17 +14,22 @@
 //! Summaries use the same comparator as per-tuple pattern matching
 //! ([`Value`]'s total order), so a range conclusion drawn from a summary is
 //! exactly the conclusion per-tuple evaluation would reach — never an
-//! approximation.
+//! approximation.  The mask is exact too: it is consulted only when every
+//! non-null value is an `Int` and the probe is an `Int`, the one case where
+//! equality is integer equality (an `Int` equals a `Float` through `as f64`,
+//! which the mask cannot see).
 
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Min/max/null summary of one column of a batch.
+/// Min/max/null summary of one column of a batch, with an integer-presence
+/// mask.
 ///
 /// `min` and `max` range over the **non-null** values only (a null reading is
 /// "unknown" and matches no relational predicate), ordered by [`Value`]'s
 /// total order — the same comparator pattern items use, which is what makes
-/// summary-based batch conclusions exact.
+/// summary-based batch conclusions exact.  The mask has bit `v & 63` set for
+/// every non-null `Int(v)` observed; [`excludes`](Self::excludes) reads it.
 ///
 /// ```
 /// use dsms_types::{ColumnSummary, Value};
@@ -43,6 +49,11 @@ pub struct ColumnSummary {
     nulls: usize,
     min: Option<Value>,
     max: Option<Value>,
+    /// Bit `v & 63` for every non-null `Int(v)` observed.
+    int_mask: u64,
+    /// Set by any non-null value that is not an `Int`: the mask then no
+    /// longer describes every non-null value.
+    non_int: bool,
 }
 
 impl ColumnSummary {
@@ -54,9 +65,13 @@ impl ColumnSummary {
     /// Folds one value into the summary.
     pub fn observe(&mut self, value: &Value) {
         self.len += 1;
-        if value.is_null() {
-            self.nulls += 1;
-            return;
+        match value {
+            Value::Null => {
+                self.nulls += 1;
+                return;
+            }
+            Value::Int(v) => self.int_mask |= 1 << (v & 63),
+            _ => self.non_int = true,
         }
         match &self.min {
             Some(min) if min <= value => {}
@@ -142,6 +157,29 @@ impl ColumnSummary {
     pub fn max(&self) -> Option<&Value> {
         self.max.as_ref()
     }
+
+    /// True when no observed value can equal `probe`, proven by the
+    /// integer-presence mask: every non-null value observed is an `Int`,
+    /// `probe` is an `Int`, and `probe`'s bit is clear.  Nulls equal no
+    /// probe, so they never stand in the way.  `false` means "not proven",
+    /// never "present": `v` and `v + 64` share a bit, and a `Float` probe
+    /// (which may equal an `Int` through `as f64`) is never excluded.
+    ///
+    /// ```
+    /// use dsms_types::{ColumnSummary, Value};
+    ///
+    /// let detectors = ColumnSummary::over_values([Value::Int(1), Value::Int(9)].iter());
+    /// assert!(detectors.excludes(&Value::Int(4)), "4 lies inside [1, 9] but was never seen");
+    /// assert!(!detectors.excludes(&Value::Int(9)));
+    /// assert!(!detectors.excludes(&Value::Int(73)), "73 shares 9's bit: not proven");
+    /// assert!(!detectors.excludes(&Value::Float(4.0)), "the mask is for Int probes only");
+    /// ```
+    pub fn excludes(&self, probe: &Value) -> bool {
+        match probe {
+            Value::Int(v) => !self.non_int && self.int_mask & (1 << (v & 63)) == 0,
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -212,5 +250,39 @@ mod tests {
         let s = ColumnSummary::over_values(values.iter());
         assert_eq!(s.min(), Some(&Value::Float(1.5)));
         assert_eq!(s.max(), Some(&Value::Float(2.5)));
+    }
+
+    #[test]
+    fn mask_excludes_ints_never_seen() {
+        let s = ColumnSummary::over_values([Value::Int(2), Value::Null, Value::Int(30)].iter());
+        assert!(s.excludes(&Value::Int(5)), "inside the range, never observed");
+        assert!(!s.excludes(&Value::Int(2)));
+        assert!(!s.excludes(&Value::Int(30)));
+        assert!(!s.excludes(&Value::Null), "only Int probes are decided");
+    }
+
+    #[test]
+    fn mask_shares_a_bit_between_v_and_v_plus_64() {
+        let s = ColumnSummary::over_values([Value::Int(3)].iter());
+        assert!(!s.excludes(&Value::Int(67)), "67 & 63 == 3: not proven absent");
+        assert!(!s.excludes(&Value::Int(-61)), "-61 & 63 == 3 as well");
+    }
+
+    #[test]
+    fn mask_handles_negative_ints() {
+        let s = ColumnSummary::over_values([Value::Int(-1), Value::Int(-64)].iter());
+        assert!(!s.excludes(&Value::Int(-1)));
+        assert!(!s.excludes(&Value::Int(-64)));
+        assert!(!s.excludes(&Value::Int(63)), "-1 & 63 == 63");
+        assert!(s.excludes(&Value::Int(-2)));
+    }
+
+    #[test]
+    fn mask_is_off_for_float_probes_and_mixed_columns() {
+        let ints = ColumnSummary::over_values([Value::Int(1), Value::Int(5)].iter());
+        assert!(!ints.excludes(&Value::Float(3.0)), "Int(3) would equal Float(3.0)");
+        let mixed = ColumnSummary::over_values([Value::Int(1), Value::Float(3.0)].iter());
+        assert!(!mixed.excludes(&Value::Int(3)), "Float(3.0) equals Int(3)");
+        assert!(!mixed.excludes(&Value::Int(2)), "a mixed column falls back to the range");
     }
 }
