@@ -17,12 +17,12 @@
 use crate::display::{DisplayHandle, SpeedMapDisplay};
 use crate::experiments::{Experiment1Config, Experiment2Config, Scheme};
 use dsms_engine::{EngineResult, QueryPlan, StreamBuilder};
-use dsms_feedback::FeedbackSpec;
+use dsms_feedback::{ExplicitPolicy, FeedbackSpec};
 use dsms_operators::aggregate::FeedbackMode;
 use dsms_operators::WindowAggregate;
 use dsms_operators::{
-    AggregateFunction, ArchivalStore, Costed, Impute, Merge, Pace, QualityFilter, Shuffle,
-    StreamOps, TimedSink, TimedSinkHandle, TuplePredicate, VecSource,
+    AggregateFunction, ArchivalStore, Costed, Impute, Merge, QualityFilter, Shuffle, StreamOps,
+    TimedSink, TimedSinkHandle, TuplePredicate, VecSource,
 };
 use dsms_punctuation::{Pattern, PatternItem};
 use dsms_types::{StreamDuration, Tuple, Value};
@@ -72,8 +72,11 @@ pub fn imputation_plan(
     let merged = if feedback {
         imputed.combine(
             clean,
-            Pace::new("PACE", schema, 2, "timestamp", config.tolerance)
-                .with_feedback_granularity(config.feedback_granularity),
+            Merge::new("PACE", schema, 2).with_disorder_policy(
+                ExplicitPolicy::disorder_bound("timestamp", config.tolerance)
+                    .assume_up_to_watermark(),
+                config.feedback_granularity,
+            ),
         )?
     } else {
         imputed.union(clean, "UNION")?

@@ -4,7 +4,8 @@
 //! the feedback should describe.  The paper's taxonomy has three families:
 //!
 //! * [`ExplicitPolicy`] — declared with the query, e.g. PACE's
-//!   `WITH PACE ON MAX(stream1.time, stream2.time) 1 MINUTE` disorder bound.
+//!   `WITH PACE ON MAX(stream1.time, stream2.time) 1 MINUTE` disorder bound,
+//!   enforced by the disorder-bound merge (`dsms-operators`' `Merge`).
 //! * adaptive — discovered by the operator from its own state, e.g. THRIFTY
 //!   JOIN noticing from punctuation that a window on the probe side is empty,
 //!   or IMPATIENT JOIN requesting subsets it can already join.  Each adaptive
@@ -28,12 +29,23 @@ pub struct ExplicitPolicy {
     pub attribute: String,
     /// Maximum tolerated divergence between the inputs.
     pub tolerance: StreamDuration,
+    /// True when the feedback describes `attribute < high_watermark` rather
+    /// than `attribute < high_watermark − tolerance`.
+    pub up_to_watermark: bool,
 }
 
 impl ExplicitPolicy {
     /// Creates a disorder-bound policy.
     pub fn disorder_bound(attribute: impl Into<String>, tolerance: StreamDuration) -> Self {
-        ExplicitPolicy { attribute: attribute.into(), tolerance }
+        ExplicitPolicy { attribute: attribute.into(), tolerance, up_to_watermark: false }
+    }
+
+    /// Makes the feedback describe every tuple below the high watermark
+    /// ("tuples with timestamps less than the current high watermark are no
+    /// longer needed"), as PACE does in the paper.
+    pub fn assume_up_to_watermark(mut self) -> Self {
+        self.up_to_watermark = true;
+        self
     }
 
     /// The cutoff below which tuples are too late, given the current
@@ -49,14 +61,17 @@ impl ExplicitPolicy {
     }
 
     /// Builds the assumed feedback describing the too-late subset
-    /// (`attribute < cutoff`) over the antecedent stream's schema.
+    /// (`attribute < cutoff`, or `attribute < high_watermark` after
+    /// [`assume_up_to_watermark`](Self::assume_up_to_watermark)) over the
+    /// antecedent stream's schema.
     pub fn feedback(
         &self,
         schema: SchemaRef,
         high_watermark: Timestamp,
         issuer: &str,
     ) -> TypeResult<FeedbackPunctuation> {
-        let cutoff = self.cutoff(high_watermark);
+        let cutoff =
+            if self.up_to_watermark { high_watermark } else { self.cutoff(high_watermark) };
         let pattern = Pattern::for_attributes(
             schema,
             &[(self.attribute.as_str(), PatternItem::Lt(Value::Timestamp(cutoff)))],

@@ -6,9 +6,9 @@
 //! feedback an operator issues from its data callbacks (produce).  An
 //! operator may declare any subset of the roles:
 //!
-//! * PACE produces feedback (from its explicit disorder policy) but has
-//!   nothing to exploit;
-//! * IMPUTE exploits assumed feedback (purging late state) and relays it;
+//! * the disorder-bound merge (PACE) produces feedback from its explicit
+//!   disorder policy, and exploits and relays its consumer's;
+//! * IMPUTE exploits assumed feedback (purging late state);
 //! * a feedback-unaware operator declares none of them — it ignores
 //!   feedback and cannot relay it (Section 5, "Feedback Support").
 

@@ -14,10 +14,10 @@
 //! the experiment's shape, which the calibrated synthetic lookup preserves
 //! (see DESIGN.md, substitutions).
 //!
-//! IMPUTE is the paper's canonical feedback **exploiter**: when PACE sends
-//! assumed punctuation saying tuples below a timestamp cutoff are no longer
-//! needed, IMPUTE guards its input and skips the expensive lookup for them
-//! (purging them from its pending work).
+//! IMPUTE is the paper's canonical feedback **exploiter**: when the
+//! disorder-bound merge (PACE) sends assumed punctuation saying tuples below a
+//! timestamp cutoff are no longer needed, IMPUTE guards its input and skips
+//! the expensive lookup for them (purging them from its pending work).
 
 use crate::common::simulate_cost;
 use dsms_engine::{EngineResult, Operator, OperatorContext};

@@ -13,7 +13,6 @@
 //! | [`project::Project`] | π | relays feedback through its attribute mapping |
 //! | [`duplicate::Duplicate`] | DUPLICATE | exploits only when all outputs assume the same subset |
 //! | [`split::Split`] | σC / σ¬C pair | content-based routing for the imputation plan |
-//! | [`pace::Pace`] | PACE | *produces* assumed feedback from its disorder bound |
 //! | [`impute::Impute`] | IMPUTE | *exploits* assumed feedback by purging/skipping late tuples |
 //! | [`aggregate::WindowAggregate`] | COUNT/SUM/AVG/MAX/MIN | Table 1 characterization; schemes F1/F2 |
 //! | [`join::SymmetricHashJoin`] | JOIN | Table 2 characterization |
@@ -24,7 +23,7 @@
 //! | [`demand::OnDemandGate`] | Example 4 | answers demanded punctuation / result requests |
 //! | [`shuffle::Shuffle`] | data-parallel fan-out | broadcasts punctuation to replicas; lattice-merges replica feedback before relaying |
 //! | [`fanout::SharedFanout`] | multi-query fan-out | per-port guard isolation; lattice-merges sharer feedback; attach/detach at punctuation boundaries |
-//! | [`merge::Merge`] | UNION; data-parallel fan-in | emits the minimum of its inputs' watermarks; exploits consumer feedback and broadcasts it to every input; optionally *produces* disorder-bound feedback |
+//! | [`merge::Merge`] | UNION; PACE; data-parallel fan-in | emits the minimum of its inputs' watermarks; exploits consumer feedback and broadcasts it to every input; with a disorder bound (PACE) drops late arrivals and *produces* assumed feedback |
 //! | [`chaos::Chaos`] | — | deterministic fault-injection wrapper (panic / transient error / stall) for supervised-recovery tests |
 //!
 //! [`common::Costed`] models expensive (CPU- or I/O-bound) operators for
@@ -52,7 +51,6 @@ pub mod impatient_join;
 pub mod impute;
 pub mod join;
 pub mod merge;
-pub mod pace;
 #[cfg(test)]
 mod partition;
 pub mod prioritizer;
@@ -77,7 +75,6 @@ pub use impatient_join::ImpatientJoin;
 pub use impute::{ArchivalStore, Impute};
 pub use join::{JoinSide, SymmetricHashJoin};
 pub use merge::Merge;
-pub use pace::Pace;
 pub use prioritizer::Prioritizer;
 pub use project::Project;
 pub use quality_filter::QualityFilter;

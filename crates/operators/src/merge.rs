@@ -1,5 +1,5 @@
 //! MERGE: order-insensitive union of N streams of one schema — the paper's
-//! UNION, and the collect side of a partitioned stage.
+//! UNION and PACE, and the collect side of a partitioned stage.
 //!
 //! Inputs are interleaved in arrival order.  For a partitioned stage the hash
 //! route guarantees that any one group's tuples all arrive on the same input,
@@ -17,13 +17,14 @@
 //!   merged stream is the union of the input streams, so a subset disclaimed
 //!   (or desired, or demanded) downstream applies to each input equally.
 //! * With a [disorder-bound policy](dsms_feedback::ExplicitPolicy) attached,
-//!   the merge also *originates* feedback (paper Section 3.3, explicit
-//!   source): replicas drain at different speeds, so a tuple can reach the
-//!   merge long after faster replicas moved the high-watermark past it.  When
-//!   an arrival violates the bound it is dropped and `¬[attribute < cutoff]`
-//!   is broadcast to every replica — the paper's PACE behaviour lifted to the
-//!   partition fan-in, and the counterpart of the shuffle's lattice merge on
-//!   the upstream side.
+//!   the merge is PACE (paper Example 3) and also *originates* feedback
+//!   (Section 3.3, explicit source).  Its high watermark is the largest
+//!   timestamp any input has shown, by tuple or by punctuation.  An arrival
+//!   older than `high_watermark − tolerance` is dropped, and assumed
+//!   feedback goes to every input: by default `¬[attribute < high_watermark
+//!   − tolerance]`, the subset the bound drops (a partition fan-in, whose
+//!   replicas drain at different speeds), or `¬[attribute < high_watermark]`,
+//!   the paper's PACE form (Experiment 1, sparing IMPUTE's lookups).
 
 use crate::common::{guarded_pass, MinWatermark};
 use crate::elastic::{membership, ElasticController, ElasticPolicy};
@@ -143,8 +144,8 @@ impl Merge {
     }
 
     /// Attaches a disorder-bound policy: arrivals older than
-    /// `high_watermark − tolerance` are dropped and the too-late subset is
-    /// broadcast as assumed feedback to **every** input.  At most one
+    /// `high_watermark − tolerance` are dropped and the subset the policy
+    /// assumes away is broadcast as feedback to **every** input.  At most one
     /// feedback message is issued per `granularity` of cutoff advance, so a
     /// burst of late tuples does not flood the control channels.
     pub fn with_disorder_policy(
@@ -349,6 +350,11 @@ impl Operator for Merge {
         if let Some(directive) = punctuation.stage_directive() {
             return self.on_stage_marker(input, directive, ctx);
         }
+        if let Some(policy) = &self.disorder {
+            if let Some(w) = punctuation.watermark_for(&policy.attribute) {
+                self.high_watermark = Some(self.high_watermark.map_or(w, |hw| hw.max(w)));
+            }
+        }
         if let Some(attr) = &self.progress_attribute {
             if let Some(w) = punctuation.watermark_for(attr) {
                 if let Some(combined) = self.progress.observe(input, w) {
@@ -490,6 +496,93 @@ mod tests {
         assert_eq!(op.late_dropped(), 2);
         assert!(ctx.take_feedback().is_empty(), "within feedback granularity");
         assert_eq!(op.feedback_stats().unwrap().issued.assumed, 1);
+
+        // Once the cutoff has advanced by the granularity, the next drop
+        // issues again.
+        op.on_tuple(0, tuple(630, 5), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(102, 6), &mut ctx).unwrap();
+        assert_eq!(ctx.take_feedback().len(), 2, "one more message per input");
+        assert_eq!(op.feedback_stats().unwrap().issued.assumed, 2);
+    }
+
+    fn pace(tolerance_secs: i64) -> Merge {
+        let policy =
+            ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(tolerance_secs))
+                .assume_up_to_watermark();
+        Merge::new("PACE", schema(), 2).with_disorder_policy(policy, StreamDuration::from_secs(1))
+    }
+
+    #[test]
+    fn pace_form_feedback_describes_everything_below_the_watermark() {
+        let mut op = pace(60);
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(1, tuple(200, 1), &mut ctx).unwrap(); // the watermark is 200
+        op.on_tuple(0, tuple(100, 2), &mut ctx).unwrap(); // 100 < 200 − 60: late
+        assert_eq!(ctx.take_emitted().len(), 1, "only the timely tuple is emitted");
+        assert_eq!(op.late_dropped(), 1);
+        let feedback = ctx.take_feedback();
+        assert_eq!(feedback.len(), 2, "sent to every input");
+        let fb = &feedback[0].1;
+        assert!(fb.describes(&tuple(100, 0)));
+        assert!(fb.describes(&tuple(150, 0)), "the tolerance band is assumed away too");
+        assert!(!fb.describes(&tuple(250, 0)));
+    }
+
+    fn cutoff_policy(tolerance_secs: i64, granularity_secs: i64) -> Merge {
+        let policy =
+            ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(tolerance_secs));
+        Merge::new("merge", schema(), 2)
+            .with_disorder_policy(policy, StreamDuration::from_secs(granularity_secs))
+    }
+
+    #[test]
+    fn timely_tuples_pass_through_the_disorder_policy() {
+        let mut op = cutoff_policy(60, 1);
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(0, tuple(100, 1), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(80, 2), &mut ctx).unwrap(); // within 60s of 100
+        assert_eq!(ctx.take_emitted().len(), 2);
+        assert_eq!(op.late_dropped(), 0);
+        assert!(ctx.take_feedback().is_empty());
+    }
+
+    #[test]
+    fn cutoff_feedback_describes_only_the_dropped_subset() {
+        let mut op = cutoff_policy(60, 1);
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(0, tuple(200, 1), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(100, 2), &mut ctx).unwrap();
+        let feedback = ctx.take_feedback();
+        assert_eq!(feedback.len(), 2, "sent to every input");
+        let fb = &feedback[0].1;
+        assert!(fb.describes(&tuple(100, 0)), "below hw − tolerance");
+        assert!(!fb.describes(&tuple(150, 0)), "within the tolerance band is not assumed away");
+    }
+
+    #[test]
+    fn disorder_feedback_is_throttled_by_granularity() {
+        let mut op = cutoff_policy(60, 30);
+        let mut ctx = OperatorContext::new();
+        op.on_tuple(0, tuple(200, 1), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(100, 2), &mut ctx).unwrap(); // feedback #1 (cutoff 140)
+        op.on_tuple(0, tuple(210, 3), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(101, 4), &mut ctx).unwrap(); // cutoff 150, advance 10 < 30: throttled
+        op.on_tuple(0, tuple(300, 5), &mut ctx).unwrap();
+        op.on_tuple(1, tuple(102, 6), &mut ctx).unwrap(); // cutoff 240, advance 100: feedback #2
+        assert_eq!(op.late_dropped(), 3);
+        assert_eq!(ctx.take_feedback().len(), 4, "two rounds, one message per input each");
+        assert_eq!(op.feedback_stats().unwrap().issued.assumed, 2);
+    }
+
+    #[test]
+    fn punctuation_advances_the_disorder_watermark() {
+        let mut op = pace(60);
+        let mut ctx = OperatorContext::new();
+        op.on_punctuation(1, progress(500), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty(), "absorbed without progress tracking");
+        op.on_tuple(0, tuple(100, 1), &mut ctx).unwrap();
+        assert!(ctx.take_emitted().is_empty(), "late w.r.t. the punctuated watermark");
+        assert_eq!(op.late_dropped(), 1);
     }
 
     #[test]
@@ -516,6 +609,98 @@ mod tests {
         assert_eq!(ports, vec![0, 1], "¬[timestamp < cutoff] sent to every input");
         assert!(feedback[0].1.pattern().matches(&tuple(100, 0)));
         assert!(!feedback[0].1.pattern().matches(&tuple(590, 0)));
+    }
+
+    /// Runs a two-input disorder merge over `arrivals`, (input, tuple) pairs
+    /// in arrival order.  Returns the output and the feedback sent to input
+    /// 1, each message with the index of the arrival that caused it.
+    fn run_disorder_merge(
+        policy: &ExplicitPolicy,
+        granularity_secs: i64,
+        arrivals: &[(usize, Tuple)],
+    ) -> (Vec<Tuple>, Vec<(usize, FeedbackPunctuation)>) {
+        let mut op = Merge::new("PACE", schema(), 2)
+            .with_disorder_policy(policy.clone(), StreamDuration::from_secs(granularity_secs));
+        let mut ctx = OperatorContext::new();
+        let (mut output, mut issued) = (Vec::new(), Vec::new());
+        for (at, (input, tuple)) in arrivals.iter().enumerate() {
+            op.on_tuple(*input, tuple.clone(), &mut ctx).unwrap();
+            output
+                .extend(ctx.take_emitted().iter().filter_map(|(_, item)| item.as_tuple().cloned()));
+            issued.extend(
+                ctx.take_feedback()
+                    .into_iter()
+                    .filter(|(port, _)| *port == 1)
+                    .map(|(_, f)| (at, f)),
+            );
+        }
+        (output, issued)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Definition 2 for the merge's own feedback: when input 1 stops
+        /// producing every later tuple an issued message describes, the
+        /// output is a correct exploitation of that feedback — and, for the
+        /// default subset, which the bound drops anyway, it is unchanged.
+        #[test]
+        fn lagging_input_honouring_the_feedback_is_safe(
+            schedule in proptest::collection::vec((0usize..2, 0i64..40), 1..80),
+            tolerance in 1i64..30,
+            granularity in 0i64..20,
+            up_to_watermark in 0usize..2,
+        ) {
+            // Every tuple is distinct (`v` is its arrival index), and each
+            // input's clock advances on its own, so either may lag or lead.
+            let mut clocks = [0i64; 2];
+            let arrivals: Vec<(usize, Tuple)> = schedule
+                .iter()
+                .enumerate()
+                .map(|(v, &(input, step))| {
+                    clocks[input] += step;
+                    (input, tuple(clocks[input], v as i64))
+                })
+                .collect();
+            let mut policy =
+                ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(tolerance));
+            if up_to_watermark == 1 {
+                policy = policy.assume_up_to_watermark();
+            }
+            let (reference, issued) = run_disorder_merge(&policy, granularity, &arrivals);
+            // The cutoff only grows, so the last message describes every
+            // earlier one's subset.
+            if let Some((_, last)) = issued.last() {
+                let lagging = |keep: &dyn Fn(usize, &Tuple) -> bool| -> Vec<Tuple> {
+                    arrivals
+                        .iter()
+                        .enumerate()
+                        .filter(|(at, (input, t))| *input == 1 && keep(*at, t))
+                        .map(|(_, (_, t))| t.clone())
+                        .collect()
+                };
+                let full = lagging(&|_, _| true);
+                let reduced = lagging(&|at, t| !issued.iter().any(|(i, f)| *i < at && f.describes(t)));
+                // The merge as a function of its lagging input, with input 0
+                // and the arrival order held fixed.
+                let apply = |input_1: &[Tuple]| {
+                    let mut rest = input_1.iter().peekable();
+                    let replay: Vec<(usize, Tuple)> = arrivals
+                        .iter()
+                        .filter(|(input, t)| *input == 0 || rest.next_if(|r| *r == t).is_some())
+                        .cloned()
+                        .collect();
+                    run_disorder_merge(&policy, granularity, &replay).0
+                };
+                let report =
+                    dsms_feedback::check_safe_propagation(&full, &reduced, last, last, apply)
+                        .unwrap();
+                proptest::prop_assert!(report.is_correct(), "{report:?}");
+                if !policy.up_to_watermark {
+                    proptest::prop_assert_eq!(apply(&reduced), reference);
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,14 @@ fn run(feedback: bool) -> (usize, usize) {
         .unwrap();
     let merged = if feedback {
         imputed
-            .combine(clean, Pace::new("PACE", schema, 2, "timestamp", StreamDuration::from_secs(2)))
+            .combine(
+                clean,
+                Merge::new("PACE", schema, 2).with_disorder_policy(
+                    ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(2))
+                        .assume_up_to_watermark(),
+                    StreamDuration::from_secs(1),
+                ),
+            )
             .unwrap()
     } else {
         imputed.union(clean, "UNION").unwrap()

@@ -76,8 +76,8 @@ pub mod prelude {
         RecoverySummary, SourceState, Stream, StreamBuilder, StreamItem, SyncExecutor,
     };
     pub use dsms_feedback::{
-        FeedbackIntent, FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
-        FeedbackSpec, FeedbackTrigger, GuardDecision,
+        ExplicitPolicy, FeedbackIntent, FeedbackMerge, FeedbackPunctuation, FeedbackRegistry,
+        FeedbackRoles, FeedbackSpec, FeedbackTrigger, GuardDecision,
     };
     pub use dsms_manager::{
         ExecutorKind, ManagerOutcome, ManagerSummary, PipelineManager, QueryReport, QueryState,
@@ -86,8 +86,8 @@ pub mod prelude {
     pub use dsms_operators::{
         AggregateFunction, ArchivalStore, Chaos, CollectSink, Costed, Duplicate, ElasticController,
         ElasticPolicy, ElasticReplica, FanoutController, FaultSpec, ImpatientJoin, Impute, Merge,
-        OnDemandGate, Pace, Prioritizer, Project, QualityFilter, Select, SharedFanout, Shuffle,
-        Split, StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink, TuplePredicate, VecSource,
+        OnDemandGate, Prioritizer, Project, QualityFilter, Select, SharedFanout, Shuffle, Split,
+        StreamOps, SymmetricHashJoin, ThriftyJoin, TimedSink, TuplePredicate, VecSource,
         WindowAggregate,
     };
     pub use dsms_punctuation::{

@@ -219,7 +219,11 @@ fn pace_feedback_reduces_wasted_imputation_work() {
             imputed
                 .combine(
                     clean,
-                    Pace::new("PACE", schema, 2, "timestamp", StreamDuration::from_secs(2)),
+                    Merge::new("PACE", schema, 2).with_disorder_policy(
+                        ExplicitPolicy::disorder_bound("timestamp", StreamDuration::from_secs(2))
+                            .assume_up_to_watermark(),
+                        StreamDuration::from_secs(1),
+                    ),
                 )
                 .unwrap()
         } else {
