@@ -6,17 +6,18 @@
 //! spinning ingress stage models the arrival process: a burst of 3 000 bids
 //! arriving at a fixed rate well above the single replica's service rate, so
 //! the lone replica is the bottleneck and back-pressure stacks up behind it.
-//! The elastic run's scripted policy reacts at the second punctuation
-//! boundary by scaling out 1→4, and the replicas then overlap their
-//! blocking waits (the pool runs one worker per plan node, so a replica
-//! blocked in a lookup holds only its own worker).  The fixed run keeps one active replica for the whole
-//! stream — same plan shape, same dormant nodes, no resize — so the
-//! comparison isolates exactly the elasticity.
+//! The elastic run's scripted policy scales out 1→4 at the second
+//! punctuation boundary on the shuffle's input (tuple 100 of 3 000, paced by
+//! the ingress stage rather than by the slow replica's output), and the
+//! replicas then overlap their blocking waits (the pool runs one worker per
+//! plan node, so a replica blocked in a lookup holds only its own worker).
+//! The fixed run keeps one active replica for the whole stream — same plan
+//! shape, same dormant nodes, no resize — so the comparison isolates exactly
+//! the elasticity.
 //!
-//! While the Migrate/Ack/Commit handshake rides the control channels the
-//! shuffle holds its input, so arrivals queue upstream under back-pressure
-//! and the resize always commits mid-stream, which is the scenario the bench
-//! is about.
+//! While the Migrate/Ack/Commit handshake is in flight the shuffle holds its
+//! input, so arrivals queue upstream under back-pressure and the resize
+//! always commits mid-stream, which is the scenario the bench is about.
 //!
 //! Every run is checked, not just timed: the elastic digest must be
 //! byte-identical to the fixed run, `feedback_dropped` must be 0, the resize

@@ -354,7 +354,7 @@ mod tests {
         shuffle.elastic = Some(ElasticStats {
             resizes: 2,
             cancelled: 0,
-            superseded: 0,
+            unreached: 0,
             migrated_groups: 5,
             epochs: vec![(1, 2), (2, 4)],
         });

@@ -36,9 +36,6 @@ pub enum FeedbackError {
         /// What the feedback carried.
         actual: &'static str,
     },
-    /// Feedback retraction was requested but the model forbids it (paper
-    /// Section 4.4: "our current model assumes there are no retractions").
-    RetractionUnsupported,
 }
 
 impl fmt::Display for FeedbackError {
@@ -58,9 +55,6 @@ impl fmt::Display for FeedbackError {
             ),
             FeedbackError::WrongIntent { expected, actual } => {
                 write!(f, "operation requires {expected} feedback, got {actual}")
-            }
-            FeedbackError::RetractionUnsupported => {
-                write!(f, "feedback retraction is not supported; enacted feedback is final")
             }
         }
     }
@@ -85,7 +79,8 @@ mod tests {
         let e =
             FeedbackError::NoSafePropagation { reason: "value constraints on both sides".into() };
         assert!(e.to_string().contains("value constraints"));
-        assert!(FeedbackError::RetractionUnsupported.to_string().contains("final"));
+        let e = FeedbackError::WrongIntent { expected: "demanded", actual: "assumed" };
+        assert!(e.to_string().contains("demanded"));
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub struct FeedbackPunctuation {
     /// the issuer).  Useful for diagnostics and for bounding propagation depth
     /// in experiments.
     hops: u32,
-    /// Optional elastic-stage directive riding on the control channel (resize
-    /// requests and migration acknowledgements).  Only elastic-aware
+    /// Optional elastic-stage directive riding on the control channel (a
+    /// replica's migration acknowledgement).  Only elastic-aware
     /// operators interpret it; everyone else relays it untouched.
     directive: Option<StageDirective>,
 }

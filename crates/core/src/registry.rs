@@ -244,12 +244,6 @@ impl FeedbackRegistry {
         Ok(())
     }
 
-    /// The paper's model forbids retracting enacted feedback (Section 4.4);
-    /// this method exists to make that explicit at the API level.
-    pub fn retract(&mut self, _feedback_id: u64) -> FeedbackResult<()> {
-        Err(FeedbackError::RetractionUnsupported)
-    }
-
     /// Decides what to do with an input (or output) tuple under the active
     /// guards.  Assumed guards win over desired priorities: a tuple that is
     /// both assumed-away and desired is suppressed.  Runs against the
@@ -646,16 +640,6 @@ mod tests {
         assert_eq!(taken.len(), 1);
         assert_eq!(reg.pending_demanded(), 0);
         assert!(reg.take_demanded().is_empty());
-    }
-
-    #[test]
-    fn retraction_is_rejected() {
-        let mut reg = FeedbackRegistry::new("JOIN");
-        let f = FeedbackPunctuation::assumed(segment(1), "x");
-        let id = f.id();
-        reg.register(f).unwrap();
-        assert_eq!(reg.retract(id), Err(FeedbackError::RetractionUnsupported));
-        assert_eq!(reg.active_assumed(), 1);
     }
 
     #[test]

@@ -441,17 +441,6 @@ impl Stream {
         self
     }
 
-    /// Sugar for [`with_feedback`](Stream::with_feedback): issue `feedback`
-    /// once the consumer attached next has seen `after_tuples` tuples.
-    pub fn emit_feedback(
-        self,
-        intent: dsms_feedback::FeedbackIntent,
-        pattern: dsms_punctuation::Pattern,
-        after_tuples: u64,
-    ) -> EngineResult<Stream> {
-        self.with_feedback(FeedbackSpec::new(intent, pattern).after_tuples(after_tuples))
-    }
-
     /// Connects this stream into a one-input operator, returning the stream
     /// on its output port 0 with the schema the operator declares.
     ///
@@ -1060,29 +1049,6 @@ mod tests {
             assert_eq!(report.operator("test-sink").unwrap().feedback_out, 1);
             assert_eq!(report.total_feedback_dropped(), 0);
         }
-    }
-
-    #[test]
-    fn emit_feedback_sugar_lowers_like_with_feedback() {
-        let builder = StreamBuilder::new().with_page_capacity(4);
-        let source = TestSource::new(20);
-        let received = source.suppressed.clone();
-        let pattern =
-            Pattern::for_attributes(schema(), &[("v", PatternItem::Eq(Value::Int(7)))]).unwrap();
-        let (sink, _) = TestSink::new(schema());
-        builder
-            .source(source)
-            .unwrap()
-            .emit_feedback(FeedbackIntent::Desired, pattern.clone(), 5)
-            .unwrap()
-            .sink(sink)
-            .unwrap();
-        let report = SyncExecutor::run(builder.build().unwrap()).unwrap();
-        let received = received.lock();
-        assert_eq!(received.len(), 1);
-        assert_eq!(received[0].intent(), FeedbackIntent::Desired, "intent passed through");
-        assert_eq!(received[0].pattern(), &pattern, "pattern passed through");
-        assert_eq!(report.operator("test-sink").unwrap().feedback_out, 1);
     }
 
     #[test]

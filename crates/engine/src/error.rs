@@ -69,8 +69,9 @@ mod tests {
     fn conversions_and_display() {
         let e: EngineError = TypeError::DuplicateAttribute { name: "x".into() }.into();
         assert!(e.to_string().contains("x"));
-        let e: EngineError = FeedbackError::RetractionUnsupported.into();
-        assert!(e.to_string().contains("retraction"));
+        let e: EngineError =
+            FeedbackError::Unsupportable { attributes: vec!["amount".into()] }.into();
+        assert!(e.to_string().contains("amount"));
         let e = EngineError::InvalidPlan { detail: "dangling port".into() };
         assert!(e.to_string().contains("dangling"));
         let e = EngineError::OperatorFailed { operator: "JOIN".into(), detail: "boom".into() };

@@ -75,13 +75,12 @@ pub struct OperatorMetrics {
 pub struct ElasticStats {
     /// Resizes committed (routing actually switched width).
     pub resizes: u64,
-    /// Resizes cancelled because the stream ended first: mid-handshake (the
-    /// commit marker re-installed the old width), while queued behind
-    /// another handshake, or arriving after end-of-stream.
+    /// Resizes cancelled because the stream ended mid-handshake (the commit
+    /// marker re-installed the old width).
     pub cancelled: u64,
-    /// Queued resize requests overwritten by a newer one before they could
-    /// open (the latest target wins).
-    pub superseded: u64,
+    /// Scheduled resizes whose punctuation boundary the stream never
+    /// reached, counted at end-of-stream.
+    pub unreached: u64,
     /// Keyed state units that changed replica across all committed resizes.
     pub migrated_groups: u64,
     /// Committed `(epoch, partitions)` pairs, in commit order — the stage's

@@ -98,58 +98,22 @@ pub fn simulate_cost(cost: Duration) {
 #[derive(Debug, Clone)]
 pub struct MinWatermark {
     watermarks: Vec<Option<Timestamp>>,
-    /// Inputs participating in the minimum.  All-true by default; an elastic
-    /// merge deactivates the slots of dormant replicas so their (absent or
-    /// stale) watermarks cannot hold the combined minimum back.
-    active: Vec<bool>,
     emitted: Option<Timestamp>,
 }
 
 impl MinWatermark {
-    /// Creates a tracker over `inputs` input ports, all active.
+    /// Creates a tracker over `inputs` input ports.
     pub fn new(inputs: usize) -> Self {
-        MinWatermark { watermarks: vec![None; inputs], active: vec![true; inputs], emitted: None }
+        MinWatermark { watermarks: vec![None; inputs], emitted: None }
     }
 
     /// Records watermark `w` observed on `input` and returns the new
     /// combined minimum iff it advanced past the last returned value (a
     /// per-input regression is ignored; the combined minimum never moves
-    /// backwards).  Observations on inactive inputs are recorded but do not
-    /// contribute to the minimum until the input is reactivated.
+    /// backwards).
     pub fn observe(&mut self, input: usize, w: Timestamp) -> Option<Timestamp> {
         let slot = &mut self.watermarks[input];
         *slot = Some(slot.map(|cur| cur.max(w)).unwrap_or(w));
-        if !self.active[input] {
-            return None;
-        }
-        self.advance()
-    }
-
-    /// Switches which inputs participate in the combined minimum (elastic
-    /// membership change at a migration boundary).  A newly *activated* input
-    /// is seeded with the current combined minimum — it owes progress only
-    /// from the cut onwards, so its empty (or stale) slot must not drag the
-    /// minimum back.  Returns the new combined minimum if the change itself
-    /// advanced it (e.g. scale-in deactivating the slowest input).
-    ///
-    /// Inputs beyond `flags.len()` are deactivated.
-    pub fn set_active(&mut self, flags: &[bool]) -> Option<Timestamp> {
-        let seed = self.emitted;
-        for (slot, mark) in self.watermarks.iter_mut().enumerate() {
-            let was = self.active[slot];
-            let now = flags.get(slot).copied().unwrap_or(false);
-            self.active[slot] = now;
-            if now && !was {
-                if let Some(seed) = seed {
-                    *mark = Some(mark.map(|cur| cur.max(seed)).unwrap_or(seed));
-                }
-            }
-        }
-        self.advance()
-    }
-
-    /// Emits the combined minimum iff it advanced past the last emission.
-    fn advance(&mut self) -> Option<Timestamp> {
         let combined = self.combined()?;
         match self.emitted {
             Some(prev) if combined <= prev => None,
@@ -160,18 +124,13 @@ impl MinWatermark {
         }
     }
 
-    /// The minimum across all *active* inputs, once each has punctuated.
-    /// `None` while any active input is silent, or if none is active.
+    /// The minimum across all inputs, once each has punctuated; `None` while
+    /// any input is silent.
     pub fn combined(&self) -> Option<Timestamp> {
         let mut min: Option<Timestamp> = None;
-        for (mark, active) in self.watermarks.iter().zip(&self.active) {
-            if !active {
-                continue;
-            }
-            match mark {
-                None => return None,
-                Some(w) => min = Some(min.map(|m| m.min(*w)).unwrap_or(*w)),
-            }
+        for mark in &self.watermarks {
+            let w = (*mark)?;
+            min = Some(min.map_or(w, |m| m.min(w)));
         }
         min
     }
@@ -278,45 +237,6 @@ mod tests {
         // The minimum only re-emits when it advances.
         assert_eq!(tracker.observe(1, ts(85)), Some(ts(85)));
         assert_eq!(tracker.observe(1, ts(200)), Some(ts(90)), "next-slowest input caps the min");
-    }
-
-    #[test]
-    fn inactive_inputs_do_not_hold_the_minimum_back() {
-        let mut tracker = MinWatermark::new(4);
-        let ts = Timestamp::from_secs;
-        // Only inputs 0 and 1 active: the pair alone determines the minimum.
-        assert_eq!(tracker.set_active(&[true, true, false, false]), None);
-        assert_eq!(tracker.observe(0, ts(50)), None);
-        assert_eq!(tracker.observe(1, ts(40)), Some(ts(40)), "silent dormant slots ignored");
-        // A dormant input's observation is recorded but emits nothing.
-        assert_eq!(tracker.observe(2, ts(10)), None);
-        assert_eq!(tracker.combined(), Some(ts(40)));
-    }
-
-    #[test]
-    fn activation_seeds_the_new_input_with_the_current_minimum() {
-        let mut tracker = MinWatermark::new(3);
-        let ts = Timestamp::from_secs;
-        tracker.set_active(&[true, true, false]);
-        tracker.observe(0, ts(100));
-        assert_eq!(tracker.observe(1, ts(90)), Some(ts(90)));
-        // Scale-out: input 2 joins with no watermark of its own.  Seeded at
-        // the cut (90), it cannot drag the minimum back to "unknown".
-        assert_eq!(tracker.set_active(&[true, true, true]), None);
-        assert_eq!(tracker.combined(), Some(ts(90)));
-        assert_eq!(tracker.observe(2, ts(95)), None, "input 1 still caps the min");
-        assert_eq!(tracker.observe(1, ts(120)), Some(ts(95)));
-    }
-
-    #[test]
-    fn deactivating_the_slowest_input_advances_the_minimum() {
-        let mut tracker = MinWatermark::new(3);
-        let ts = Timestamp::from_secs;
-        tracker.observe(0, ts(100));
-        tracker.observe(1, ts(30));
-        assert_eq!(tracker.observe(2, ts(80)), Some(ts(30)));
-        // Scale-in retires the straggler: the minimum jumps forward.
-        assert_eq!(tracker.set_active(&[true, false, true]), Some(ts(80)));
     }
 
     #[test]

@@ -4,37 +4,39 @@
 //! [`elastic_stage`](crate::fluent::StreamOps::elastic_stage) can change its
 //! *active* replica count at runtime without changing the query result.  The
 //! stage is built at its maximum width; at any moment only replicas
-//! `0..active` receive data, and a four-step handshake — riding entirely on
-//! the existing punctuation and feedback channels — moves the keyed state of
-//! stateful replicas when the width changes:
+//! `0..active` receive data, and the stage's [`Shuffle`](crate::Shuffle) is
+//! its one coordinator: it decides, cuts and commits.
 //!
-//! 1. **Resize** — the merge watches the shuffle-reported input queue depth
-//!    (via the shared [`ElasticController`]) and, at a punctuation boundary,
-//!    decides a new width against its [`ElasticPolicy`].  The decision
-//!    travels *upstream* as a feedback punctuation carrying
-//!    [`StageDirective::Resize`] — inter-operator feedback exactly as the
-//!    paper frames it, here carrying a scheduling intent instead of a
-//!    subset description.
-//! 2. **Migrate** — the shuffle emits a [`StageDirective::Migrate`] marker
+//! The shuffle counts the punctuation boundaries of its own input and, at
+//! the end of each page that carried one, asks its [`ElasticPolicy`] for a
+//! width (an adaptive policy reads the shuffle's input queue depth).  A
+//! decision that changes the width runs one three-step handshake, and at
+//! most one runs at a time:
+//!
+//! 1. **Migrate** — the shuffle emits a [`StageDirective::Migrate`] marker
 //!    punctuation to *every* replica (a consistent cut: each replica sees it
 //!    after all earlier tuples and before all later ones) and holds its
-//!    input.  Each [`ElasticReplica`] exports its keyed state
-//!    into the controller's migration pool, acknowledges upstream with
-//!    [`StageDirective::Ack`], and forwards the marker downstream.
+//!    input.  Each [`ElasticReplica`] exports its keyed state into the
+//!    controller's migration pool and forwards the marker downstream.
+//! 2. **Ack** — each replica acknowledges upstream with
+//!    [`StageDirective::Ack`] on the feedback channel.
 //! 3. **Commit** — once every replica has acknowledged, the shuffle switches
 //!    its routing width, emits a [`StageDirective::Commit`] marker, and
-//!    resumes its input under the new routing.  Each replica
-//!    reclaims from the pool exactly the keys that now hash to it; the merge
-//!    counts the commit markers and switches its watermark membership.
-//! 4. **Cancel** — if the shuffle is shut down mid-handshake it commits the
-//!    *old* width instead: every key reclaims its own exporter's state and
-//!    the run is byte-identical to one with no resize at all.
+//!    resumes its input under the new routing.  Each replica reclaims from
+//!    the pool exactly the keys that now hash to it.
 //!
-//! Because the cut is aligned with the stream (markers are ordinary
-//! punctuations in the data channel) and state moves whole groups at the
-//! cut, a resized run produces exactly the multiset of tuples a
-//! fixed-partition run produces — the property `tests/elastic_parity.rs`
-//! pins on both executors.
+//! If the shuffle is shut down mid-handshake it commits the *old* width
+//! instead (a cancel): every key reclaims its own exporter's state and the
+//! run is byte-identical to one with no resize at all.
+//!
+//! Dormant replicas stay connected and receive every progress punctuation, so
+//! the stage's [`Merge`](crate::Merge) combines watermarks over all of its
+//! inputs with no notion of membership; the markers carry no watermark and
+//! the merge absorbs them.  Because the cut is aligned with the stream
+//! (markers are ordinary punctuations in the data channel) and state moves
+//! whole groups at the cut, a resized run produces exactly the multiset of
+//! tuples a fixed-partition run produces — the property
+//! `tests/elastic_parity.rs` pins on both executors.
 
 use dsms_engine::{ElasticStats, EngineResult, Operator, OperatorContext, Page, StateEntry};
 use dsms_feedback::{FeedbackPunctuation, FeedbackRoles};
@@ -42,7 +44,6 @@ use dsms_punctuation::{Pattern, Punctuation, StageDirective};
 use dsms_types::{FixedHasher, Value};
 use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The partition a key routes to at the given width.  Must agree with
@@ -58,17 +59,8 @@ pub fn route_values(values: &[Value], partitions: usize) -> usize {
     (hasher.finish() % partitions.max(1) as u64) as usize
 }
 
-/// The membership flags for a stage running `active` of `partitions`
-/// replicas: the active ones are always the prefix `0..active`.  Both the
-/// shuffle's [`FeedbackMerge`](dsms_feedback::FeedbackMerge) and the merge's
-/// [`MinWatermark`](crate::MinWatermark) take membership in this shape.
-pub fn membership(active: usize, partitions: usize) -> Vec<bool> {
-    (0..partitions).map(|replica| replica < active).collect()
-}
-
-/// Shared coordination state of one elastic stage: the migration pool keyed
-/// state parks in between Migrate and Commit, the load signal the shuffle
-/// reports and the merge reads, and the stage's [`ElasticStats`].
+/// Shared state of one elastic stage: the migration pool keyed state parks
+/// in between Migrate and Commit, and the stage's [`ElasticStats`].
 ///
 /// One controller serves exactly one stage; share it via
 /// [`ElasticController::shared`].
@@ -76,8 +68,6 @@ pub fn membership(active: usize, partitions: usize) -> Vec<bool> {
 pub struct ElasticController {
     /// State exported at the Migrate cut, tagged with the exporting replica.
     pool: Mutex<Vec<(usize, StateEntry)>>,
-    /// Most recent input queue depth observed by the shuffle.
-    load: AtomicU64,
     stats: Mutex<ElasticStats>,
 }
 
@@ -85,16 +75,6 @@ impl ElasticController {
     /// Creates a controller behind an [`Arc`] for sharing across the stage.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// Records the shuffle's current input queue depth (the scale signal).
-    pub fn report_load(&self, depth: u64) {
-        self.load.store(depth, Ordering::Relaxed);
-    }
-
-    /// The most recently reported queue depth.
-    pub fn load(&self) -> u64 {
-        self.load.load(Ordering::Relaxed)
     }
 
     /// Parks a replica's exported state in the migration pool.
@@ -142,9 +122,9 @@ impl ElasticController {
         self.stats.lock().cancelled += 1;
     }
 
-    /// Records a queued resize request overwritten by a newer one.
-    pub fn record_superseded(&self) {
-        self.stats.lock().superseded += 1;
+    /// Records scheduled resizes the stream ended before reaching.
+    pub fn record_unreached(&self, moves: u64) {
+        self.stats.lock().unreached += moves;
     }
 
     /// A snapshot of the stage's statistics.
@@ -153,14 +133,16 @@ impl ElasticController {
     }
 }
 
-/// When and how far an elastic merge resizes its stage.
+/// When and how far an elastic shuffle resizes its stage.
 #[derive(Debug, Clone)]
 pub enum ElasticPolicy {
-    /// Resize to the given widths after the merge has seen the given numbers
-    /// of progress punctuations on input 0 (a deterministic schedule, used by
-    /// the parity tests).  Entries must be in ascending punctuation order.
+    /// Resize to the given widths once the shuffle has seen the given numbers
+    /// of punctuations on its input (a deterministic schedule, used by the
+    /// parity tests).  Entries must be in ascending punctuation order; moves
+    /// due at the same boundary commit back to back, and moves the stream
+    /// never reaches are counted as unreached at end-of-stream.
     Scripted(Vec<(u64, usize)>),
-    /// Watch the shuffle-reported queue depth at every punctuation boundary:
+    /// Sample the shuffle's input queue depth at every punctuation boundary:
     /// at or above `high` pages, scale out to `spike_width`; at or below
     /// `low`, scale in to `idle_width`.
     Adaptive {
@@ -176,11 +158,14 @@ pub enum ElasticPolicy {
 }
 
 impl ElasticPolicy {
-    /// The width the stage should run at, given the punctuations seen so far
-    /// on input 0, the current load signal, and the current width.  Returns
-    /// `None` when no change is called for.  `&mut` because a scripted
-    /// schedule consumes its entries.
-    pub fn decide(&mut self, punctuations: u64, load: u64, active: usize) -> Option<usize> {
+    /// The width the stage should run at, given the punctuations seen so far,
+    /// the queue depth sampled at this boundary, and the current width.
+    /// Returns `None` when no change is called for.  `load` is `None` when
+    /// the shuffle asks again right after a commit, with no new boundary: a
+    /// schedule may still have a move due, but there is no fresh sample to
+    /// adapt to (the held input inflated the queue).  `&mut` because a
+    /// scripted schedule consumes its entries.
+    pub fn decide(&mut self, punctuations: u64, load: Option<u64>, active: usize) -> Option<usize> {
         match self {
             ElasticPolicy::Scripted(schedule) => {
                 if schedule.first().is_some_and(|(at, _)| punctuations >= *at) {
@@ -191,6 +176,7 @@ impl ElasticPolicy {
                 }
             }
             ElasticPolicy::Adaptive { high, low, spike_width, idle_width } => {
+                let load = load?;
                 if load >= *high && active != *spike_width {
                     Some(*spike_width)
                 } else if load <= *low && active != *idle_width {
@@ -199,6 +185,14 @@ impl ElasticPolicy {
                     None
                 }
             }
+        }
+    }
+
+    /// Scheduled moves still waiting for their boundary.
+    pub(crate) fn unreached(&self) -> u64 {
+        match self {
+            ElasticPolicy::Scripted(schedule) => schedule.len() as u64,
+            ElasticPolicy::Adaptive { .. } => 0,
         }
     }
 }
@@ -221,12 +215,6 @@ impl<O: Operator> ElasticReplica<O> {
         ElasticReplica { inner, index, controller }
     }
 
-    /// The pattern feedback toward the shuffle carries: the replica's whole
-    /// input, or `fallback` when the replica declares no input schema.
-    fn upstream_pattern(&self, fallback: &Pattern) -> Pattern {
-        self.inner.schema_in(0).map(Pattern::all_wildcards).unwrap_or_else(|| fallback.clone())
-    }
-
     fn handle_directive(
         &mut self,
         directive: StageDirective,
@@ -237,7 +225,12 @@ impl<O: Operator> ElasticReplica<O> {
             StageDirective::Migrate { epoch, .. } => {
                 let exported = self.inner.export_state();
                 self.controller.park(self.index, exported);
-                let pattern = self.upstream_pattern(marker.pattern());
+                // The replica's whole input, or the marker's schema if it
+                // declares none.
+                let pattern = self
+                    .inner
+                    .schema_in(0)
+                    .map_or_else(|| marker.pattern().clone(), Pattern::all_wildcards);
                 ctx.send_feedback(
                     0,
                     FeedbackPunctuation::desired(pattern, self.inner.name())
@@ -251,12 +244,12 @@ impl<O: Operator> ElasticReplica<O> {
                     self.inner.import_state(entries)?;
                 }
             }
-            // Resize and Ack ride the feedback channel, never the data
-            // channel; an arrival here is a no-op.
-            StageDirective::Resize { .. } | StageDirective::Ack { .. } => {}
+            // Ack rides the feedback channel, never the data channel; an
+            // arrival here is a no-op.
+            StageDirective::Ack { .. } => {}
         }
         // Forward the marker so the cut stays consistent through the stage
-        // (the merge counts Commit markers to switch its membership).
+        // (the merge absorbs it).
         ctx.emit_punctuation(0, marker);
         Ok(())
     }
@@ -298,23 +291,6 @@ impl<O: Operator> dsms_engine::Wrapper for ElasticReplica<O> {
             Some(directive) => self.handle_directive(directive, punctuation, ctx),
             None => self.inner.on_punctuation(input, punctuation, ctx),
         }
-    }
-
-    fn on_feedback(
-        &mut self,
-        output: usize,
-        feedback: FeedbackPunctuation,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        if feedback.stage_directive().is_some() {
-            // A stage directive from the merge is addressed to the shuffle;
-            // relay it upstream without involving the inner operator (whose
-            // schema the pattern may not match).
-            let pattern = self.upstream_pattern(feedback.pattern());
-            ctx.send_feedback(0, feedback.relay(pattern, self.inner.name()));
-            return Ok(());
-        }
-        self.inner.on_feedback(output, feedback, ctx)
     }
 
     /// Never restartable, even over a restartable inner operator: migration
@@ -440,20 +416,23 @@ mod tests {
     #[test]
     fn scripted_policy_fires_in_order_and_consumes_entries() {
         let mut policy = ElasticPolicy::Scripted(vec![(2, 4), (5, 1)]);
-        assert_eq!(policy.decide(1, 0, 1), None, "before the first mark");
-        assert_eq!(policy.decide(2, 0, 1), Some(4));
-        assert_eq!(policy.decide(3, 0, 4), None, "entry consumed");
-        assert_eq!(policy.decide(7, 0, 4), Some(1), "late is fine: at-or-after");
-        assert_eq!(policy.decide(100, 0, 1), None, "schedule exhausted");
+        assert_eq!(policy.decide(1, Some(0), 1), None, "before the first mark");
+        assert_eq!(policy.decide(2, None, 1), Some(4));
+        assert_eq!(policy.decide(3, Some(0), 4), None, "entry consumed");
+        assert_eq!(policy.decide(7, None, 4), Some(1), "late is fine: at-or-after");
+        assert_eq!(policy.decide(100, Some(0), 1), None, "schedule exhausted");
+        assert_eq!(policy.unreached(), 0);
+        assert_eq!(ElasticPolicy::Scripted(vec![(9, 2)]).unreached(), 1);
     }
 
     #[test]
     fn adaptive_policy_tracks_the_watermarks() {
         let mut policy = ElasticPolicy::Adaptive { high: 8, low: 1, spike_width: 4, idle_width: 1 };
-        assert_eq!(policy.decide(0, 3, 1), None, "between the watermarks");
-        assert_eq!(policy.decide(0, 9, 1), Some(4), "spike scales out");
-        assert_eq!(policy.decide(0, 9, 4), None, "already wide");
-        assert_eq!(policy.decide(0, 0, 4), Some(1), "drain scales in");
+        assert_eq!(policy.decide(0, Some(3), 1), None, "between the watermarks");
+        assert_eq!(policy.decide(0, Some(9), 1), Some(4), "spike scales out");
+        assert_eq!(policy.decide(0, Some(9), 4), None, "already wide");
+        assert_eq!(policy.decide(0, Some(0), 4), Some(1), "drain scales in");
+        assert_eq!(policy.decide(0, None, 1), None, "no sample, no adaptation");
     }
 
     #[test]
@@ -462,13 +441,12 @@ mod tests {
         controller.record_resize(1, 4);
         controller.record_resize(2, 1);
         controller.record_cancel();
+        controller.record_unreached(2);
         controller.record_migrated(7);
-        controller.report_load(42);
         let stats = controller.stats();
         assert_eq!(stats.resizes, 2);
-        assert_eq!(stats.cancelled, 1);
+        assert_eq!((stats.cancelled, stats.unreached), (1, 2));
         assert_eq!(stats.migrated_groups, 7);
         assert_eq!(stats.epochs, vec![(1, 4), (2, 1)]);
-        assert_eq!(controller.load(), 42);
     }
 }

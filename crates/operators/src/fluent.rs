@@ -157,9 +157,9 @@ pub trait StreamOps: Sized {
     /// [`partitioned_stage`](StreamOps::partitioned_stage) made resizable at
     /// runtime: the stage is built at the shuffle's full width, starts with
     /// `initial` active replicas, and grows or shrinks when `policy` decides
-    /// at a punctuation boundary — the merge sends the decision upstream as a
-    /// feedback directive and keyed replica state migrates at the resulting
-    /// consistent cut (see [`crate::elastic`] for the protocol).  Replicas
+    /// at one of the shuffle's punctuation boundaries — the shuffle cuts the
+    /// stream there and keyed replica state migrates at the cut (see
+    /// [`crate::elastic`] for the protocol).  `merge` stays a plain merge.  Replicas
     /// must implement [`Operator::export_state`] /
     /// [`Operator::import_state`] if they hold keyed state.
     fn elastic_stage<O, F>(
@@ -319,8 +319,7 @@ impl StreamOps for Stream {
         F: FnMut(usize) -> O,
     {
         let controller = ElasticController::shared();
-        let shuffle = shuffle.with_elastic(controller.clone(), initial);
-        let merge = merge.with_elastic(controller.clone(), policy, initial);
+        let shuffle = shuffle.with_elastic(controller.clone(), policy, initial);
         self.partitioned_stage(shuffle, merge, |partition| {
             ElasticReplica::new(make(partition), partition, controller.clone())
         })

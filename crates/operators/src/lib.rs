@@ -68,7 +68,7 @@ pub use chaos::{Chaos, FaultSpec};
 pub use common::{simulate_cost, Costed, MinWatermark, TuplePredicate};
 pub use demand::OnDemandGate;
 pub use duplicate::Duplicate;
-pub use elastic::{membership, route_values, ElasticController, ElasticPolicy, ElasticReplica};
+pub use elastic::{route_values, ElasticController, ElasticPolicy, ElasticReplica};
 pub use fanout::{FanoutCommit, FanoutController, FanoutDirective, SharedFanout};
 pub use fluent::StreamOps;
 pub use impatient_join::ImpatientJoin;

@@ -9,6 +9,11 @@
 //! emits the minimum of the per-input watermarks and absorbs per-input
 //! punctuation when no progress attribute is set.
 //!
+//! The merge knows nothing of elastic stages.  Their shuffle sends progress
+//! punctuation to every replica, dormant ones included, so the plain minimum
+//! over all inputs stays correct at any active width, and a migration marker
+//! (which asserts no watermark) is absorbed like any per-input punctuation.
+//!
 //! The merge point is where cross-input feedback semantics live on the
 //! downstream side:
 //!
@@ -27,36 +32,13 @@
 //!   the paper's PACE form (Experiment 1, sparing IMPUTE's lookups).
 
 use crate::common::{guarded_pass, MinWatermark};
-use crate::elastic::{membership, ElasticController, ElasticPolicy};
 use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
     BatchGuardDecision, ExplicitPolicy, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles,
     GuardDecision,
 };
-use dsms_punctuation::{Pattern, Punctuation, StageDirective};
+use dsms_punctuation::Punctuation;
 use dsms_types::{SchemaRef, StreamDuration, Timestamp, Tuple};
-use std::sync::Arc;
-
-/// Decision side of an elastic stage (see [`crate::elastic`]): the merge
-/// watches the stage's load signal at punctuation boundaries, issues `Resize`
-/// directives upstream as feedback, and tracks `Commit` markers to learn when
-/// the new membership is in effect on every input.
-struct ElasticMerge {
-    controller: Arc<ElasticController>,
-    policy: ElasticPolicy,
-    /// Replicas currently routed to (always the prefix `0..active`).
-    active: usize,
-    /// Punctuation boundaries seen on input 0 — the scripted policy's clock.
-    punct_seen: u64,
-    /// Next resize epoch to issue (monotone, starts at 1).
-    next_epoch: u64,
-    /// A resize is in flight: no new decision until its commit lands.
-    in_flight: bool,
-    /// Which inputs have delivered the in-flight epoch's `Commit` marker.
-    commits: Vec<bool>,
-    commit_epoch: Option<u64>,
-    commit_width: usize,
-}
 
 /// Merges `inputs` streams of identical schema into one, with cross-input
 /// feedback handling (see the module docs).
@@ -75,8 +57,6 @@ pub struct Merge {
     feedback_granularity: StreamDuration,
     late_dropped: u64,
     registry: FeedbackRegistry,
-    /// Elastic-stage decision state (None for a fixed-width merge).
-    elastic: Option<ElasticMerge>,
 }
 
 impl Merge {
@@ -97,42 +77,7 @@ impl Merge {
             last_feedback_cutoff: None,
             feedback_granularity: StreamDuration::from_secs(0),
             late_dropped: 0,
-            elastic: None,
         }
-    }
-
-    /// Makes this merge the decision point of an elastic stage: at each
-    /// punctuation boundary it consults `policy` against the stage's load
-    /// signal, issues `Resize` feedback upstream, and switches its watermark
-    /// membership only once every input has delivered the `Commit` marker.
-    /// `initial` is the starting replica count (clamped to `1..=inputs`) and
-    /// must match the shuffle's.
-    pub fn with_elastic(
-        mut self,
-        controller: Arc<ElasticController>,
-        policy: ElasticPolicy,
-        initial: usize,
-    ) -> Self {
-        let active = initial.clamp(1, self.inputs);
-        let _ = self.progress.set_active(&membership(active, self.inputs));
-        self.elastic = Some(ElasticMerge {
-            controller,
-            policy,
-            active,
-            punct_seen: 0,
-            next_epoch: 1,
-            in_flight: false,
-            commits: vec![false; self.inputs],
-            commit_epoch: None,
-            commit_width: active,
-        });
-        self
-    }
-
-    /// The number of replicas currently routed to (equals `inputs()` for a
-    /// fixed-width merge).
-    pub fn active(&self) -> usize {
-        self.elastic.as_ref().map(|e| e.active).unwrap_or(self.inputs)
     }
 
     /// Enables combined progress-punctuation handling on the named timestamp
@@ -194,81 +139,10 @@ impl Merge {
         }
         Ok(true)
     }
-
-    /// Handles an elastic-stage marker arriving embedded in a replica stream.
-    /// `Migrate` is absorbed (it only matters to the replicas); `Commit` is
-    /// counted per input, and once every input has delivered the marker the
-    /// merge switches its watermark membership to the committed width — not
-    /// before, because a retiring replica may still have tuples in flight
-    /// ahead of its marker.
-    fn on_stage_marker(
-        &mut self,
-        input: usize,
-        directive: StageDirective,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
-        let Some(elastic) = self.elastic.as_mut() else {
-            return Ok(());
-        };
-        if let StageDirective::Commit { epoch, partitions } = directive {
-            if elastic.commit_epoch != Some(epoch) {
-                elastic.commit_epoch = Some(epoch);
-                elastic.commits = vec![false; self.inputs];
-                elastic.commit_width = partitions;
-            }
-            if let Some(seen) = elastic.commits.get_mut(input) {
-                *seen = true;
-            }
-            if elastic.commits.iter().all(|&seen| seen) {
-                elastic.active = elastic.commit_width.clamp(1, self.inputs);
-                elastic.in_flight = false;
-                elastic.commit_epoch = None;
-                let released = self.progress.set_active(&membership(elastic.active, self.inputs));
-                // Dropping the slowest (now dormant) input may advance the
-                // combined watermark immediately.
-                if let (Some(attr), Some(combined)) = (&self.progress_attribute, released) {
-                    let combined = Punctuation::progress(self.schema.clone(), attr, combined)?;
-                    self.registry.expire_with(&combined);
-                    ctx.emit_punctuation(0, combined);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Consults the elastic policy at a punctuation boundary on input 0 and,
-    /// when it decides on a new width, issues the `Resize` directive upstream
-    /// as desired feedback.  At most one resize is in flight at a time.
-    fn maybe_resize(&mut self, input: usize, ctx: &mut OperatorContext) {
-        let Some(elastic) = self.elastic.as_mut() else {
-            return;
-        };
-        if input != 0 || elastic.in_flight {
-            return;
-        }
-        elastic.punct_seen += 1;
-        let load = elastic.controller.load();
-        let Some(target) = elastic.policy.decide(elastic.punct_seen, load, elastic.active) else {
-            return;
-        };
-        let target = target.clamp(1, self.inputs);
-        if target == elastic.active {
-            return;
-        }
-        let epoch = elastic.next_epoch;
-        elastic.next_epoch += 1;
-        elastic.in_flight = true;
-        let feedback =
-            FeedbackPunctuation::desired(Pattern::all_wildcards(self.schema.clone()), &self.name)
-                .with_directive(StageDirective::Resize { epoch, partitions: target });
-        self.registry.stats_mut().issued.record(feedback.intent());
-        ctx.send_feedback(0, feedback);
-    }
 }
 
-/// Sends `feedback` upstream on each of the merge's `inputs` ports (dormant
-/// replicas included); the last port receives the original, so N inputs cost
-/// N−1 clones.
+/// Sends `feedback` upstream on each of the merge's `inputs` ports; the last
+/// port receives the original, so N inputs cost N−1 clones.
 fn send_to_every_input(inputs: usize, feedback: FeedbackPunctuation, ctx: &mut OperatorContext) {
     for input in 0..inputs - 1 {
         ctx.send_feedback(input, feedback.clone());
@@ -279,7 +153,7 @@ fn send_to_every_input(inputs: usize, feedback: FeedbackPunctuation, ctx: &mut O
 impl Operator for Merge {
     fn feedback_roles(&self) -> FeedbackRoles {
         let roles = FeedbackRoles::exploiter().with_relayer();
-        if self.disorder.is_some() || self.elastic.is_some() {
+        if self.disorder.is_some() {
             roles.with_producer()
         } else {
             roles
@@ -321,9 +195,9 @@ impl Operator for Merge {
     /// Batch path: a punctuation-free page whose column summaries prove every
     /// row clear of the guards is forwarded intact, so fan-in plans keep
     /// upstream batching.  Every other page takes the single pass: per-input
-    /// punctuation (progress and elastic markers) must go through the
-    /// min-watermark combine, and with a disorder policy every unsuppressed
-    /// arrival must reach `enforce_disorder`.
+    /// punctuation must go through the min-watermark combine, and with a
+    /// disorder policy every unsuppressed arrival must reach
+    /// `enforce_disorder`.
     fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
         if decision == BatchGuardDecision::PassAll
@@ -347,9 +221,6 @@ impl Operator for Merge {
         punctuation: Punctuation,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        if let Some(directive) = punctuation.stage_directive() {
-            return self.on_stage_marker(input, directive, ctx);
-        }
         if let Some(policy) = &self.disorder {
             if let Some(w) = punctuation.watermark_for(&policy.attribute) {
                 self.high_watermark = Some(self.high_watermark.map_or(w, |hw| hw.max(w)));
@@ -366,9 +237,7 @@ impl Operator for Merge {
             }
         }
         // A per-input punctuation is never forwarded (the other inputs may
-        // still produce matching tuples), so it is absorbed — but it still
-        // clocks the elastic policy.
-        self.maybe_resize(input, ctx);
+        // still produce matching tuples), so it is absorbed.
         Ok(())
     }
 
@@ -709,66 +578,6 @@ mod tests {
         assert_eq!(op.inputs(), 2, "clamped to two inputs");
         assert_eq!(op.schema().arity(), 2);
         assert_eq!(op.late_dropped(), 0);
-    }
-
-    #[test]
-    fn scripted_policy_issues_one_resize_and_waits_for_commit() {
-        let controller = ElasticController::shared();
-        let mut op = Merge::new("merge", schema(), 4).with_elastic(
-            controller,
-            ElasticPolicy::Scripted(vec![(1, 3)]),
-            1,
-        );
-        assert_eq!(op.active(), 1);
-        let mut ctx = OperatorContext::new();
-
-        op.on_punctuation(0, progress(10), &mut ctx).unwrap();
-        let sent = ctx.take_feedback();
-        assert_eq!(sent.len(), 1, "first boundary fires the scripted resize");
-        assert_eq!(sent[0].0, 0, "directive rides input 0's control channel");
-        assert_eq!(
-            sent[0].1.stage_directive(),
-            Some(StageDirective::Resize { epoch: 1, partitions: 3 })
-        );
-
-        // No second decision while the resize is in flight.
-        op.on_punctuation(0, progress(20), &mut ctx).unwrap();
-        assert!(ctx.take_feedback().is_empty(), "one resize in flight at a time");
-        assert_eq!(op.active(), 1, "membership switches only at commit");
-    }
-
-    #[test]
-    fn commit_markers_switch_membership_only_when_unanimous() {
-        let controller = ElasticController::shared();
-        let mut op = Merge::new("merge", schema(), 3).with_progress_on("timestamp").with_elastic(
-            controller,
-            ElasticPolicy::Scripted(vec![]),
-            3,
-        );
-        let mut ctx = OperatorContext::new();
-        let commit =
-            Punctuation::directive(schema(), StageDirective::Commit { epoch: 1, partitions: 2 });
-
-        // The soon-dormant input 2 is silent; the active pair has punctuated.
-        op.on_punctuation(0, progress(100), &mut ctx).unwrap();
-        op.on_punctuation(1, progress(80), &mut ctx).unwrap();
-        assert!(ctx.take_emitted().is_empty(), "input 2 still holds the watermark");
-
-        op.on_punctuation(0, commit.clone(), &mut ctx).unwrap();
-        op.on_punctuation(1, commit.clone(), &mut ctx).unwrap();
-        assert_eq!(op.active(), 3, "two of three markers is not a cut");
-        assert!(ctx.take_emitted().is_empty());
-
-        op.on_punctuation(2, commit, &mut ctx).unwrap();
-        assert_eq!(op.active(), 2, "unanimous markers commit the new width");
-        let emitted = ctx.take_emitted();
-        assert_eq!(emitted.len(), 1, "dropping the silent input releases the watermark");
-        match &emitted[0].1 {
-            StreamItem::Punctuation(p) => {
-                assert_eq!(p.watermark_for("timestamp"), Some(Timestamp::from_secs(80)))
-            }
-            other => panic!("expected punctuation, got {other:?}"),
-        }
     }
 
     #[test]

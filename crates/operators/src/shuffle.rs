@@ -8,11 +8,12 @@
 //!
 //! Control flows treat the fan-out differently from data:
 //!
-//! * **Embedded punctuation is broadcast** to all N outputs (the active
-//!   ones, in elastic mode).  A punctuation
-//!   asserts completeness of a subset of the whole stream; each partition is
-//!   a subset of that stream, so the assertion holds on every partition and
-//!   every replica needs it to close windows.
+//! * **Embedded punctuation is broadcast** to all N outputs, dormant
+//!   replicas of an elastic stage included.  A punctuation asserts
+//!   completeness of a subset of the whole stream; each partition is a subset
+//!   of that stream, so the assertion holds on every partition, every replica
+//!   needs it to close windows, and the merge's min-watermark over all N
+//!   inputs keeps advancing whatever the active width.
 //! * **Feedback punctuation is lattice-merged.**  A tuple routes to exactly
 //!   one replica and the pattern language cannot express the hash route, so
 //!   feedback from one replica must not cross toward the source alone: the
@@ -21,9 +22,14 @@
 //!   once **every** replica has asserted it (exactly, or as a disorder-bound
 //!   meet).  The released subset is also mounted as an input guard, so the
 //!   shuffle stops routing tuples the whole replica group has disclaimed.
+//!
+//! An elastic shuffle ([`Shuffle::with_elastic`]) is also its stage's only
+//! coordinator: it decides a new width at its own punctuation boundaries,
+//! cuts the stream, collects the replicas' Acks and commits (see
+//! [`crate::elastic`]).
 
 use crate::common::guarded_pass;
-use crate::elastic::ElasticController;
+use crate::elastic::{ElasticController, ElasticPolicy};
 use dsms_engine::{EngineError, EngineResult, Operator, OperatorContext, StateEntry};
 use dsms_feedback::{
     FeedbackMerge, FeedbackPunctuation, FeedbackRegistry, FeedbackRoles, GuardDecision,
@@ -45,17 +51,22 @@ struct PendingResize {
 /// [`crate::elastic`] for the protocol).
 struct ElasticShuffle {
     controller: Arc<ElasticController>,
+    policy: ElasticPolicy,
     /// Current routing width: tuples route to outputs `0..active`.
     active: usize,
+    /// Punctuations seen on the input — the scripted policy's clock.
+    boundaries: u64,
+    /// The page being routed carried a boundary: decide once it is routed.
+    boundary_due: bool,
+    /// Next resize epoch to open (monotone, starts at 1).
+    next_epoch: u64,
     pending: Option<PendingResize>,
-    /// The newest `(epoch, width)` request that arrived while a handshake
-    /// was in flight; it opens the moment the current epoch commits.
-    queued: Option<(u64, usize)>,
-    /// Highest Resize epoch received (dedupes relayed copies of the same
-    /// directive).
-    last_epoch: u64,
-    /// End-of-stream reached: no new handshake may start.
-    flushed: bool,
+}
+
+/// The lattice membership of a stage running `active` of `partitions`
+/// replicas: the active ones are always the prefix `0..active`.
+fn membership(active: usize, partitions: usize) -> Vec<bool> {
+    (0..partitions).map(|replica| replica < active).collect()
 }
 
 /// Hash-partitions one input stream across `partitions` outputs on a key.
@@ -104,19 +115,26 @@ impl Shuffle {
 
     /// Makes the shuffle the coordinator of an elastic stage: `partitions`
     /// becomes the *maximum* width, routing starts at `initial` active
-    /// replicas (clamped to `1..=partitions`), and resize directives arriving
-    /// as feedback drive the migration handshake (see [`crate::elastic`]).
-    /// Dormant replicas stay connected but receive only migration markers.
-    pub fn with_elastic(mut self, controller: Arc<ElasticController>, initial: usize) -> Self {
+    /// replicas (clamped to `1..=partitions`), and `policy` decides at the
+    /// shuffle's own punctuation boundaries when to run the migration
+    /// handshake (see [`crate::elastic`]).  Dormant replicas stay connected
+    /// and receive punctuation and migration markers, never data.
+    pub fn with_elastic(
+        mut self,
+        controller: Arc<ElasticController>,
+        policy: ElasticPolicy,
+        initial: usize,
+    ) -> Self {
         let active = initial.clamp(1, self.partitions);
-        self.merge.set_active(&crate::elastic::membership(active, self.partitions));
+        self.merge.set_active(&membership(active, self.partitions));
         self.elastic = Some(ElasticShuffle {
             controller,
+            policy,
             active,
+            boundaries: 0,
+            boundary_due: false,
+            next_epoch: 1,
             pending: None,
-            queued: None,
-            last_epoch: 0,
-            flushed: false,
         });
         self
     }
@@ -171,121 +189,79 @@ impl Shuffle {
         Ok((self.key_hash(tuple)? % self.active() as u64) as usize)
     }
 
-    /// Reacts to a stage directive arriving on the feedback channel: Resize
-    /// opens a handshake (Migrate markers out, input held) — or, if
-    /// one is already in flight, queues behind it — Ack progress-tracks it,
-    /// and the last Ack commits.  No Resize is dropped silently: each one is
-    /// applied, queued, superseded, or cancelled, and counted.
-    fn on_stage_directive(
-        &mut self,
-        directive: StageDirective,
-        ctx: &mut OperatorContext,
-    ) -> EngineResult<()> {
+    /// Asks the policy for a width and, when it calls for a change, opens a
+    /// handshake toward it.  `load` is the queue depth sampled at a
+    /// boundary, `None` on the re-ask right after a commit.
+    fn maybe_resize(&mut self, load: Option<u64>, ctx: &mut OperatorContext) {
         let Some(elastic) = self.elastic.as_mut() else {
-            return Ok(());
+            return;
         };
-        match directive {
-            StageDirective::Resize { epoch, partitions: requested } => {
-                if epoch <= elastic.last_epoch {
-                    return Ok(());
-                }
-                elastic.last_epoch = epoch;
-                if elastic.flushed {
-                    elastic.controller.record_cancel();
-                } else if elastic.pending.is_some() {
-                    if elastic.queued.replace((epoch, requested)).is_some() {
-                        elastic.controller.record_superseded();
-                    }
-                } else {
-                    self.open_resize(epoch, requested, ctx);
-                }
-            }
-            StageDirective::Ack { epoch, replica } => {
-                let Some(pending) = elastic.pending.as_mut() else {
-                    return Ok(());
-                };
-                if pending.epoch != epoch || replica >= pending.acks.len() {
-                    return Ok(());
-                }
-                pending.acks[replica] = true;
-                if pending.acks.iter().all(|acked| *acked) {
-                    let target = pending.target;
-                    self.finish_resize(target, false, ctx);
-                }
-            }
-            // Migrate and Commit are data-channel markers the shuffle emits,
-            // never receives.
-            StageDirective::Migrate { .. } | StageDirective::Commit { .. } => {}
+        if elastic.pending.is_some() {
+            return;
         }
-        Ok(())
-    }
-
-    /// Opens a handshake for `epoch` towards `requested` replicas (a no-op
-    /// when that is already the active width).
-    fn open_resize(&mut self, epoch: u64, requested: usize, ctx: &mut OperatorContext) {
-        let elastic = self.elastic.as_mut().expect("open_resize requires elastic mode");
-        let target = requested.clamp(1, self.partitions);
+        let Some(target) = elastic.policy.decide(elastic.boundaries, load, elastic.active) else {
+            return;
+        };
+        let target = target.clamp(1, self.partitions);
         if target == elastic.active {
             return;
         }
+        let epoch = elastic.next_epoch;
+        elastic.next_epoch += 1;
         elastic.pending = Some(PendingResize { epoch, target, acks: vec![false; self.partitions] });
         // Read no further input until the commit: the rest of the stream
         // waits upstream under back-pressure, so the shuffle neither buffers
         // it nor runs to end-of-stream ahead of the resize schedule.
         ctx.hold_input(true);
-        // The cut: every replica (dormant ones included) sees the marker
-        // after all earlier routed tuples.
-        for port in 0..self.partitions {
-            ctx.emit_punctuation(
-                port,
-                Punctuation::directive(
-                    self.schema.clone(),
-                    StageDirective::Migrate { epoch, partitions: target },
-                ),
-            );
+        // The cut: every replica sees the marker after all earlier routed
+        // tuples.
+        self.mark_every_port(StageDirective::Migrate { epoch, partitions: target }, ctx);
+    }
+
+    /// Records a replica's Ack; the last one commits the handshake.
+    fn on_ack(&mut self, epoch: u64, replica: usize, ctx: &mut OperatorContext) {
+        let Some(pending) = self.elastic.as_mut().and_then(|elastic| elastic.pending.as_mut())
+        else {
+            return;
+        };
+        if pending.epoch != epoch || replica >= pending.acks.len() {
+            return;
+        }
+        pending.acks[replica] = true;
+        if pending.acks.iter().all(|acked| *acked) {
+            let target = pending.target;
+            self.finish_resize(target, false, ctx);
+            // A second move may be due at the same boundary: it opens now.
+            self.maybe_resize(None, ctx);
         }
     }
 
     /// Ends the in-flight handshake at `width` (the target on commit, the
     /// old width when a flush cancels it): emits Commit markers, switches
-    /// the feedback lattice's membership, resumes the input under the new
-    /// routing, and then opens the queued request, if any (a cancel cancels
-    /// it too).
+    /// the feedback lattice's membership and resumes the input under the
+    /// new routing.
     fn finish_resize(&mut self, width: usize, cancelled: bool, ctx: &mut OperatorContext) {
         ctx.hold_input(false);
-        let (epoch, queued) = {
-            let elastic = self.elastic.as_mut().expect("finish_resize requires elastic mode");
-            let pending = elastic.pending.take().expect("a handshake is in flight");
-            elastic.active = width;
-            (pending.epoch, elastic.queued.take())
-        };
-        for port in 0..self.partitions {
-            ctx.emit_punctuation(
-                port,
-                Punctuation::directive(
-                    self.schema.clone(),
-                    StageDirective::Commit { epoch, partitions: width },
-                ),
-            );
+        let elastic = self.elastic.as_mut().expect("finish_resize requires elastic mode");
+        let epoch = elastic.pending.take().expect("a handshake is in flight").epoch;
+        elastic.active = width;
+        if cancelled {
+            elastic.controller.record_cancel();
+        } else {
+            elastic.controller.record_resize(epoch, width);
         }
+        self.mark_every_port(StageDirective::Commit { epoch, partitions: width }, ctx);
         // Unanimity is now over the new replica set; release any lattice
         // rounds a retired replica was blocking.
-        let released = self.merge.set_active(&crate::elastic::membership(width, self.partitions));
-        for merged in released {
+        for merged in self.merge.set_active(&membership(width, self.partitions)) {
             self.release_merged(merged, ctx);
         }
-        let controller = &self.elastic.as_ref().expect("elastic mode").controller;
-        if cancelled {
-            controller.record_cancel();
-            // A request queued behind the cancelled one ends with the stream.
-            if queued.is_some() {
-                controller.record_cancel();
-            }
-        } else {
-            controller.record_resize(epoch, width);
-            if let Some((next_epoch, requested)) = queued {
-                self.open_resize(next_epoch, requested, ctx);
-            }
+    }
+
+    /// Embeds a stage marker on every port, dormant replicas included.
+    fn mark_every_port(&self, directive: StageDirective, ctx: &mut OperatorContext) {
+        for port in 0..self.partitions {
+            ctx.emit_punctuation(port, Punctuation::directive(self.schema.clone(), directive));
         }
     }
 
@@ -339,9 +315,6 @@ impl Operator for Shuffle {
         if self.registry.decide(&tuple) == GuardDecision::Suppress {
             return Ok(());
         }
-        if let Some(elastic) = &self.elastic {
-            elastic.controller.report_load(ctx.queue_depth());
-        }
         let route = self.route_of(&tuple)?;
         ctx.emit(route, tuple);
         Ok(())
@@ -393,14 +366,19 @@ impl Operator for Shuffle {
         if let Some(elastic) = &self.elastic {
             // The input is held from the Migrate cut to the commit.
             debug_assert!(elastic.pending.is_none(), "input delivered mid-handshake");
-            elastic.controller.report_load(ctx.queue_depth());
         }
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
         guarded_pass(self, input, page, decision, ctx, |shuffle, tuple, ctx| {
             let route = shuffle.route_of(&tuple)?;
             ctx.emit(route, tuple);
             Ok(())
-        })
+        })?;
+        // Decide only once the whole page is routed: the Migrate cut must
+        // follow every tuple routed at the old width.
+        if self.elastic.as_mut().is_some_and(|elastic| std::mem::take(&mut elastic.boundary_due)) {
+            self.maybe_resize(Some(ctx.queue_depth()), ctx);
+        }
+        Ok(())
     }
 
     fn on_punctuation(
@@ -410,10 +388,14 @@ impl Operator for Shuffle {
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         self.registry.expire_with(&punctuation);
-        // Every active port gets a copy (the last one the original).  In
-        // elastic mode a dormant replica receives no assertions, so the
-        // merge's membership-aware watermark does not wait on it.
-        let last = self.active() - 1;
+        if let Some(elastic) = self.elastic.as_mut() {
+            elastic.boundaries += 1;
+            elastic.boundary_due = true;
+        }
+        // Every port gets a copy (the last one the original), dormant
+        // replicas included, so the merge's watermark never waits on a
+        // replica the shuffle does not route to.
+        let last = self.partitions - 1;
         for port in 0..last {
             ctx.emit_punctuation(port, punctuation.clone());
         }
@@ -428,10 +410,13 @@ impl Operator for Shuffle {
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         if let Some(directive) = feedback.stage_directive() {
-            // Stage directives steer the handshake; they never enter the
-            // assertion lattice (a wildcard "vote" from the controller would
-            // corrupt unanimity rounds).
-            return self.on_stage_directive(directive, ctx);
+            // A replica's Ack steers the handshake; it never enters the
+            // assertion lattice (a wildcard "vote" would corrupt unanimity
+            // rounds).
+            if let StageDirective::Ack { epoch, replica } = directive {
+                self.on_ack(epoch, replica, ctx);
+            }
+            return Ok(());
         }
         if let Some(merged) = self.merge.assert_from(output, feedback) {
             self.release_merged(merged, ctx);
@@ -440,16 +425,18 @@ impl Operator for Shuffle {
     }
 
     fn on_flush(&mut self, ctx: &mut OperatorContext) -> EngineResult<()> {
+        let Some(elastic) = self.elastic.as_mut() else {
+            return Ok(());
+        };
+        // Scheduled moves whose boundary never came end with the stream.
+        elastic.controller.record_unreached(elastic.policy.unreached());
         // Flushed inside a handshake (a shutdown: end-of-stream waits behind
         // the held input): cancel rather than commit.  The Commit marker
         // re-installs the *old* width and every parked group reclaims to its
         // exporter — the run is indistinguishable from one where the resize
         // never happened.
-        let cancel_at = self.elastic.as_mut().and_then(|elastic| {
-            elastic.flushed = true;
-            elastic.pending.is_some().then_some(elastic.active)
-        });
-        if let Some(old_width) = cancel_at {
+        if elastic.pending.is_some() {
+            let old_width = elastic.active;
             self.finish_resize(old_width, true, ctx);
         }
         Ok(())
@@ -465,7 +452,7 @@ impl Operator for Shuffle {
 
     /// Restartable only in fixed-width mode: an elastic shuffle's resize
     /// handshake mutates the shared [`ElasticController`], so replaying the
-    /// directives that drove it would double-apply membership changes.
+    /// boundaries that drove it would double-apply membership changes.
     fn restartable(&self) -> bool {
         self.elastic.is_none()
     }
@@ -682,104 +669,162 @@ mod tests {
         assert_eq!(s.schema().arity(), 3);
     }
 
-    /// Pass-through replica that, on its `at`-th tuple, asks the shuffle for
-    /// several resizes in one callback, so all but the first land
-    /// mid-handshake.
-    struct BackToBackResizer {
-        at: u64,
-        seen: u64,
-        targets: Vec<usize>,
+    fn elastic(partitions: usize, schedule: Vec<(u64, usize)>, initial: usize) -> Shuffle {
+        Shuffle::new("shuffle", schema(), &["segment"], partitions).unwrap().with_elastic(
+            crate::ElasticController::shared(),
+            ElasticPolicy::Scripted(schedule),
+            initial,
+        )
     }
 
-    impl Operator for BackToBackResizer {
-        fn name(&self) -> &str {
-            "resizer"
-        }
-        fn inputs(&self) -> usize {
-            1
-        }
-        fn schema_in(&self, _input: usize) -> Option<SchemaRef> {
-            Some(schema())
-        }
-        fn on_tuple(
-            &mut self,
-            _input: usize,
-            tuple: Tuple,
-            ctx: &mut OperatorContext,
-        ) -> EngineResult<()> {
-            self.seen += 1;
-            if self.seen == self.at {
-                for (epoch, &partitions) in (1..).zip(&self.targets) {
-                    ctx.send_feedback(
-                        0,
-                        FeedbackPunctuation::desired(Pattern::all_wildcards(schema()), "resizer")
-                            .with_directive(StageDirective::Resize { epoch, partitions }),
-                    );
-                }
-            }
-            ctx.emit(0, tuple);
-            Ok(())
-        }
+    fn progress_at(ts: i64) -> StreamItem {
+        StreamItem::Punctuation(
+            Punctuation::progress(schema(), "timestamp", Timestamp::from_secs(ts)).unwrap(),
+        )
     }
 
-    /// Regression: a Resize arriving while another handshake is in flight
-    /// used to be dropped silently.  The newest one must queue and commit
-    /// right after the current one; one it overwrites counts as superseded.
+    /// What the shuffle emitted, in order: `T` per routed tuple, `P` per
+    /// progress copy, and the stage directives with their ports.
+    fn trace(ctx: &mut OperatorContext) -> Vec<(usize, Option<StageDirective>, char)> {
+        ctx.take_emitted()
+            .into_iter()
+            .map(|(port, item)| match item {
+                StreamItem::Tuple(_) => (port, None, 'T'),
+                StreamItem::Punctuation(p) => (port, p.stage_directive(), 'P'),
+            })
+            .collect()
+    }
+
+    fn directives(trace: &[(usize, Option<StageDirective>, char)]) -> Vec<StageDirective> {
+        let mut out: Vec<StageDirective> = trace.iter().filter_map(|(_, d, _)| *d).collect();
+        out.dedup();
+        out
+    }
+
+    fn ack(shuffle: &mut Shuffle, epoch: u64, replica: usize, ctx: &mut OperatorContext) {
+        let ack = FeedbackPunctuation::desired(Pattern::all_wildcards(schema()), "replica")
+            .with_directive(StageDirective::Ack { epoch, replica });
+        shuffle.on_feedback(replica, ack, ctx).unwrap();
+    }
+
+    /// The shuffle decides at the end of a page that carried a boundary:
+    /// the rest of that page is routed at the old width before the Migrate
+    /// markers, one handshake opens, and the next scheduled move waits for
+    /// both its own boundary and the commit.
+    #[test]
+    fn scripted_policy_issues_one_resize_and_waits_for_commit() {
+        use dsms_engine::Page;
+        let mut op = elastic(4, vec![(1, 3), (2, 4)], 1);
+        let mut ctx = OperatorContext::new();
+        let page = vec![StreamItem::Tuple(tuple(0, 1)), progress_at(10)];
+        let page = [page, vec![StreamItem::Tuple(tuple(11, 2)), StreamItem::Tuple(tuple(12, 3))]];
+        op.on_page(0, Page::from_items(page.concat()), &mut ctx).unwrap();
+        let emitted = trace(&mut ctx);
+        let kinds: String = emitted.iter().map(|(_, _, kind)| kind).collect();
+        assert_eq!(kinds, "TPPPPTTPPPP", "progress to every port, the whole page before the cut");
+        assert!(emitted.iter().filter(|(_, _, kind)| *kind == 'T').all(|(port, ..)| *port == 0));
+        let cut: Vec<usize> = emitted[7..].iter().map(|(port, ..)| *port).collect();
+        assert_eq!(cut, vec![0, 1, 2, 3], "the cut reaches dormant replicas too");
+        assert_eq!(directives(&emitted), vec![StageDirective::Migrate { epoch: 1, partitions: 3 }]);
+        assert!(ctx.input_held(), "no input until the commit");
+
+        for replica in 0..3 {
+            ack(&mut op, 1, replica, &mut ctx);
+        }
+        assert!(trace(&mut ctx).is_empty() && ctx.input_held(), "three of four Acks");
+        ack(&mut op, 1, 3, &mut ctx);
+        let emitted = trace(&mut ctx);
+        assert_eq!(directives(&emitted), vec![StageDirective::Commit { epoch: 1, partitions: 3 }]);
+        assert!(!ctx.input_held());
+        assert_eq!(op.active(), 3, "the move at boundary 2 waits for its boundary");
+
+        op.on_page(0, Page::from_items(vec![progress_at(20)]), &mut ctx).unwrap();
+        let emitted = trace(&mut ctx);
+        assert_eq!(directives(&emitted), vec![StageDirective::Migrate { epoch: 2, partitions: 4 }]);
+    }
+
+    /// Two moves due at one boundary commit back to back: the second opens
+    /// only once the first has committed, and a whole run loses no tuple.
     #[test]
     fn resize_arriving_mid_handshake_commits_after_the_current_one() {
-        use crate::VecSource;
-        use crate::{CollectSink, ElasticController, ElasticReplica, Select, TuplePredicate};
-        use dsms_engine::{QueryPlan, SyncExecutor};
+        use crate::{CollectSink, ElasticReplica, Select, TuplePredicate, VecSource};
+        use dsms_engine::{Page, QueryPlan, SyncExecutor};
 
-        // (requested widths, committed epochs, superseded requests)
-        let cases =
-            [(vec![2, 1], vec![(1, 2), (2, 1)], 0), (vec![2, 2, 1], vec![(1, 2), (3, 1)], 1)];
-        for (targets, epochs, superseded) in cases {
-            let controller = ElasticController::shared();
-            let mut plan = QueryPlan::new().with_page_capacity(4);
-            let source =
-                plan.add(VecSource::new("source", (0..200).map(|i| tuple(i, i % 8)).collect()));
-            let shuffle = plan.add(
-                Shuffle::new("shuffle", schema(), &["segment"], 2)
-                    .unwrap()
-                    .with_elastic(controller.clone(), 1),
-            );
-            let resizer = BackToBackResizer { at: 10, seen: 0, targets };
-            let replica0 = plan.add(ElasticReplica::new(resizer, 0, controller.clone()));
-            let pass = Select::new("pass", schema(), TuplePredicate::always());
-            let replica1 = plan.add(ElasticReplica::new(pass, 1, controller));
-            let (sink0, out0) = CollectSink::new("sink-0");
-            let (sink1, out1) = CollectSink::new("sink-1");
-            let (sink0, sink1) = (plan.add(sink0), plan.add(sink1));
-            plan.connect_simple(source, shuffle).unwrap();
-            plan.connect(shuffle, 0, replica0, 0).unwrap();
-            plan.connect(shuffle, 1, replica1, 0).unwrap();
-            plan.connect_simple(replica0, sink0).unwrap();
-            plan.connect_simple(replica1, sink1).unwrap();
+        let mut op = elastic(2, vec![(1, 2), (1, 1)], 1);
+        let mut ctx = OperatorContext::new();
+        op.on_page(0, Page::from_items(vec![progress_at(10)]), &mut ctx).unwrap();
+        let migrate_1 = StageDirective::Migrate { epoch: 1, partitions: 2 };
+        assert_eq!(directives(&trace(&mut ctx)), vec![migrate_1]);
+        ack(&mut op, 1, 0, &mut ctx);
+        assert!(trace(&mut ctx).is_empty(), "the second move waits for the first commit");
+        ack(&mut op, 1, 1, &mut ctx);
+        assert_eq!(
+            directives(&trace(&mut ctx)),
+            vec![
+                StageDirective::Commit { epoch: 1, partitions: 2 },
+                StageDirective::Migrate { epoch: 2, partitions: 1 }
+            ]
+        );
+        assert!(ctx.input_held(), "the input stays held across the back-to-back handshakes");
+        ack(&mut op, 2, 0, &mut ctx);
+        ack(&mut op, 2, 1, &mut ctx);
+        assert_eq!(
+            directives(&trace(&mut ctx)),
+            vec![StageDirective::Commit { epoch: 2, partitions: 1 }]
+        );
+        assert!(!ctx.input_held());
+        let stats = op.elastic_stats().unwrap();
+        assert_eq!((stats.epochs, stats.cancelled), (vec![(1, 2), (2, 1)], 0));
 
-            let report = SyncExecutor::run(plan).unwrap();
-            let stats = report.operator("shuffle").unwrap().elastic.clone().unwrap();
-            assert_eq!(stats.epochs, epochs, "commits, in order: {stats:?}");
-            assert_eq!((stats.cancelled, stats.superseded), (0, superseded), "{stats:?}");
-            assert_eq!(out0.lock().len() + out1.lock().len(), 200, "no tuple lost or duplicated");
-            assert_eq!(report.total_feedback_dropped(), 0);
+        let controller = crate::ElasticController::shared();
+        let mut plan = QueryPlan::new().with_page_capacity(4);
+        let source = plan.add(
+            VecSource::new("source", (0..200).map(|i| tuple(i, i % 8)).collect())
+                .with_punctuation("timestamp", dsms_types::StreamDuration::from_secs(20)),
+        );
+        let shuffle =
+            plan.add(Shuffle::new("shuffle", schema(), &["segment"], 2).unwrap().with_elastic(
+                controller.clone(),
+                ElasticPolicy::Scripted(vec![(3, 2), (3, 1), (5, 2)]),
+                1,
+            ));
+        plan.connect_simple(source, shuffle).unwrap();
+        let mut outputs = Vec::new();
+        for replica in 0..2 {
+            let pass = Select::new(format!("pass-{replica}"), schema(), TuplePredicate::always());
+            let node = plan.add(ElasticReplica::new(pass, replica, controller.clone()));
+            let (sink, out) = CollectSink::new(format!("sink-{replica}"));
+            let sink = plan.add(sink);
+            plan.connect(shuffle, replica, node, 0).unwrap();
+            plan.connect_simple(node, sink).unwrap();
+            outputs.push(out);
         }
+        let report = SyncExecutor::run(plan).unwrap();
+        let stats = report.operator("shuffle").unwrap().elastic.clone().unwrap();
+        assert_eq!(stats.epochs, vec![(1, 2), (2, 1), (3, 2)], "commits, in order: {stats:?}");
+        assert_eq!((stats.cancelled, stats.unreached), (0, 0), "{stats:?}");
+        let routed: usize = outputs.iter().map(|out| out.lock().len()).sum();
+        assert_eq!(routed, 200, "no tuple lost or duplicated");
+        assert_eq!(report.total_feedback_dropped(), 0);
     }
 
-    /// A Resize that reaches the shuffle after it flushed has no stream left
-    /// to cut: it is counted as cancelled, not dropped silently.
+    /// Moves with no stream left to cut are counted, never dropped silently:
+    /// a handshake open at flush recommits the old width and counts as
+    /// cancelled, and a scheduled move whose boundary never came counts as
+    /// unreached.
     #[test]
     fn resize_after_flush_counts_as_cancelled() {
-        let controller = crate::ElasticController::shared();
-        let mut shuffle =
-            Shuffle::new("s", schema(), &["segment"], 2).unwrap().with_elastic(controller, 1);
+        use dsms_engine::Page;
+        let mut op = elastic(2, vec![(1, 2), (9, 1)], 1);
         let mut ctx = OperatorContext::new();
-        shuffle.on_flush(&mut ctx).unwrap();
-        let resize = FeedbackPunctuation::desired(Pattern::all_wildcards(schema()), "merge")
-            .with_directive(StageDirective::Resize { epoch: 1, partitions: 2 });
-        shuffle.on_feedback(0, resize, &mut ctx).unwrap();
-        let stats = shuffle.elastic_stats().unwrap();
-        assert_eq!((stats.resizes, stats.cancelled), (0, 1), "{stats:?}");
-        assert!(ctx.take_emitted().is_empty(), "no Migrate marker after end-of-stream");
+        op.on_page(0, Page::from_items(vec![progress_at(10)]), &mut ctx).unwrap();
+        ctx.take_emitted();
+        op.on_flush(&mut ctx).unwrap();
+        let emitted = trace(&mut ctx);
+        assert_eq!(directives(&emitted), vec![StageDirective::Commit { epoch: 1, partitions: 1 }]);
+        assert_eq!(emitted.len(), 2, "one Commit per port, no Migrate after end-of-stream");
+        let stats = op.elastic_stats().unwrap();
+        assert_eq!((stats.resizes, stats.cancelled, stats.unreached), (0, 1, 1), "{stats:?}");
+        assert_eq!(op.active(), 1);
     }
 }

@@ -13,39 +13,35 @@ use std::fmt;
 
 /// A control verb for elastic repartitioning of a shuffle→replicas→merge
 /// stage, carried piggyback on a punctuation (the consistent-cut marker) or
-/// on a feedback punctuation (the upstream control channel).
+/// on a feedback punctuation (the upstream acknowledgement).
 ///
-/// The protocol is a four-step handshake per `epoch` (one resize):
+/// The stage's shuffle is its only coordinator: it decides a new width at a
+/// punctuation boundary of its own input, then runs a three-step handshake
+/// per `epoch` (one resize):
 ///
-/// 1. [`Resize`](StageDirective::Resize) — the merge decides a new partition
-///    count and sends it upstream as feedback.
-/// 2. [`Migrate`](StageDirective::Migrate) — the shuffle embeds a migration
+/// 1. [`Migrate`](StageDirective::Migrate) — the shuffle embeds a migration
 ///    marker on every replica stream; each replica exports its keyed state at
 ///    that boundary.
-/// 3. [`Ack`](StageDirective::Ack) — each replica acknowledges the cut
+/// 2. [`Ack`](StageDirective::Ack) — each replica acknowledges the cut
 ///    upstream after exporting.
-/// 4. [`Commit`](StageDirective::Commit) — once every replica has
+/// 3. [`Commit`](StageDirective::Commit) — once every replica has
 ///    acknowledged, the shuffle switches routing and embeds a commit marker;
 ///    replicas reinstall their share of the exported state behind it.
+///
+/// A marker asserts no watermark on any attribute, so the stage's merge
+/// absorbs it like any other per-input punctuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageDirective {
-    /// Merge → shuffle (feedback): change the active partition count.
-    Resize {
-        /// Monotone resize-round identifier.
-        epoch: u64,
-        /// Requested number of active partitions.
-        partitions: usize,
-    },
     /// Shuffle → replicas (embedded marker): export keyed state at this cut.
     Migrate {
-        /// Resize round this cut belongs to.
+        /// The resize round this cut belongs to.
         epoch: u64,
         /// Partition count the stage is migrating toward.
         partitions: usize,
     },
     /// Replica → shuffle (feedback): state exported, the cut is clean here.
     Ack {
-        /// Resize round being acknowledged.
+        /// The resize round being acknowledged.
         epoch: u64,
         /// Index of the acknowledging replica.
         replica: usize,
@@ -54,7 +50,7 @@ pub enum StageDirective {
     /// state for the new width.  A commit carrying the *old* width cancels
     /// the resize (used when the stream ends mid-handshake).
     Commit {
-        /// Resize round being committed.
+        /// The resize round being committed.
         epoch: u64,
         /// Partition count now in effect.
         partitions: usize,

@@ -4,10 +4,11 @@
 //! Each case runs the same keyed, stateful stage — shuffle → `WindowAggregate`
 //! replicas → merge — twice: once at a fixed width of 4 and once elastically,
 //! driven by a *random* resize schedule (a `ElasticPolicy::Scripted` list of
-//! `(punctuation boundary, target width)` moves).  Every schedule contains at
-//! least one scale-out and one scale-in, and every elastic run must produce a
-//! sink digest byte-identical to the fixed run on both executors, with
-//! `feedback_dropped == 0`.
+//! `(punctuation boundary, target width)` moves, clocked by the shuffle's
+//! input).  Every schedule contains at least one scale-out and one scale-in,
+//! and every elastic run must commit every scripted move, in order, and
+//! produce a sink digest byte-identical to the fixed run on both executors,
+//! with `feedback_dropped == 0`.
 //!
 //! The stage runs under maximal back-pressure (`queue_capacity = 1`,
 //! `page_capacity = 2`) so migration buffering, routing-epoch switches and the
@@ -74,8 +75,9 @@ fn never_matching(salt: i64) -> Pattern {
 }
 
 /// A random resize schedule with a guaranteed scale-out then scale-in inside
-/// the first ten punctuation boundaries (the run has ~30), plus up to two
-/// extra random moves later.
+/// the first ten punctuation boundaries, plus up to two extra random moves
+/// later — all before boundary 17, well inside the 30 boundaries the
+/// shuffle's input carries (600 tuples, one punctuation per 20 s).
 fn random_schedule(rng: &mut StdRng) -> (usize, Vec<(u64, usize)>) {
     let initial = rng.gen_range(1..=MAX_WIDTH - 1);
     let mut moves = Vec::new();
@@ -172,7 +174,10 @@ fn random_resize_schedules_preserve_the_fixed_partition_digest() {
                 .elastic
                 .clone()
                 .expect("elastic shuffles report elastic stats");
-            assert!(stats.resizes >= 2, "{label}: both guaranteed moves must commit");
+            let scripted: Vec<usize> = moves.iter().map(|&(_, width)| width).collect();
+            let committed: Vec<usize> = stats.epochs.iter().map(|&(_, width)| width).collect();
+            assert_eq!(committed, scripted, "{label}: every scripted move commits, in order");
+            assert_eq!((stats.cancelled, stats.unreached), (0, 0), "{label}: {stats:?}");
             let mut width = initial;
             let mut grew = false;
             let mut shrank = false;
@@ -190,5 +195,55 @@ fn random_resize_schedules_preserve_the_fixed_partition_digest() {
                 "{label}: midstream and at-flush feedback must reach the source"
             );
         }
+    }
+}
+
+/// The stage's merge keeps plain min-watermark progress over all four
+/// inputs: dormant replicas receive every progress punctuation, so combined
+/// progress flows while only one replica is active, and across a scale-out
+/// and a scale-in it is exactly the fixed-width run's sequence — strictly
+/// increasing, never regressing.
+#[test]
+fn merge_progress_flows_through_dormant_replicas_and_never_regresses() {
+    let run = |executor: &Executor, elastic: bool| {
+        let builder = StreamBuilder::new().with_page_capacity(2).with_queue_capacity(1);
+        let shuffle = Shuffle::new("shuffle", schema(), &["key"], MAX_WIDTH).unwrap();
+        let merge = Merge::new("merge", schema(), MAX_WIDTH).with_progress_on("ts");
+        let pass = |i| Select::new(format!("pass-{i}"), schema(), TuplePredicate::always());
+        let source = builder
+            .source(
+                VecSource::new("source", tuples())
+                    .with_punctuation("ts", StreamDuration::from_secs(20)),
+            )
+            .unwrap();
+        let staged = if elastic {
+            let moves = ElasticPolicy::Scripted(vec![(10, MAX_WIDTH), (20, 1)]);
+            source.elastic_stage(shuffle, merge, 1, moves, pass).unwrap()
+        } else {
+            source.partitioned_stage(shuffle, merge, pass).unwrap()
+        };
+        let (sink, _) = CollectSink::new("sink");
+        let progress = sink.punctuation_handle();
+        staged.sink(sink).unwrap();
+        let plan = builder.build().unwrap();
+        let report = match executor {
+            Executor::Sync => SyncExecutor::run(plan).unwrap(),
+            Executor::Pooled => PooledExecutor::run(plan).unwrap(),
+        };
+        let watermarks: Vec<Timestamp> =
+            progress.lock().iter().filter_map(|p| p.watermark_for("ts")).collect();
+        (report, watermarks)
+    };
+
+    for executor in [Executor::Sync, Executor::Pooled] {
+        let (_, fixed) = run(&executor, false);
+        let (report, resized) = run(&executor, true);
+        let stats = report.operator("shuffle").unwrap().elastic.clone().unwrap();
+        assert_eq!(stats.epochs, vec![(1, MAX_WIDTH), (2, 1)], "{stats:?}");
+        assert!(resized.windows(2).all(|pair| pair[0] < pair[1]), "regressed: {resized:?}");
+        // The tenth boundary opens the scale-out, so the first nine
+        // watermarks cover input routed while three replicas were dormant.
+        assert!(fixed.len() >= 20, "one combined watermark per boundary: {fixed:?}");
+        assert_eq!(resized, fixed, "progress identical to the fixed-width stage");
     }
 }
