@@ -22,7 +22,7 @@
 use crate::operator::StreamItem;
 use dsms_punctuation::Punctuation;
 use dsms_types::{ColumnSummary, Tuple, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The row lane's representation: exclusively owned while a page is being
 /// built (the common case — no indirection, no refcount), or shared after
@@ -110,6 +110,21 @@ pub struct ColumnarPage {
     /// The punctuation lane: each entry records how many rows preceded the
     /// punctuation, so interleaved arrival order can be replayed exactly.
     puncts: Vec<(u32, Punctuation)>,
+    /// The summary cache: one slot per column of the first row, created on
+    /// the first [`ColumnarPage::column_summary`] call (a page nobody asks
+    /// pays nothing) and shared by every clone or [`ColumnarPage::share`]
+    /// copy taken after it.  Any mutation of the row lane resets it.
+    summaries: OnceLock<Arc<[SummarySlot]>>,
+}
+
+/// One column's cached summary: filled by the first request, `None` inside
+/// when no sound summary exists (a row lacks the column).
+type SummarySlot = OnceLock<Option<ColumnSummary>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Summary walks performed on this thread (the cache tests count them).
+    static SUMMARY_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The page type flowing through inter-operator queues.
@@ -137,7 +152,14 @@ impl ColumnarPage {
     }
 
     fn push_tuple(&mut self, tuple: Tuple) {
-        self.rows.to_mut().push(tuple);
+        self.rows_mut().push(tuple);
+    }
+
+    /// Mutable row lane; the summaries no longer describe it, so the cache
+    /// is dropped (a no-op on a page nobody summarised).
+    fn rows_mut(&mut self) -> &mut Vec<Tuple> {
+        self.summaries.take();
+        self.rows.to_mut()
     }
 
     fn push_punctuation(&mut self, punctuation: Punctuation) {
@@ -147,15 +169,35 @@ impl ColumnarPage {
     /// Splits off a second handle to this page: the returned page holds the
     /// same content, and both handles reference **one** row allocation (the
     /// row lane switches to its shared representation; the small punctuation
-    /// lane is cloned).  Supervised recovery retains each input page this
-    /// way before dispatching it — O(1) per page, where a `clone()` of an
-    /// owned page costs a refcount bump per tuple.
-    pub(crate) fn share(&mut self) -> ColumnarPage {
+    /// lane is cloned) and, once a summary has been requested, one summary
+    /// cache.  Supervised recovery retains each input page this way before
+    /// dispatching it, and the 1→N forwards (`Duplicate`, `SharedFanout`)
+    /// hand one copy to each output port — O(1) per page, where a `clone()`
+    /// of an owned page allocates a new row `Vec` and bumps every tuple's
+    /// refcount.
+    ///
+    /// ```
+    /// use dsms_engine::PageBuilder;
+    /// use dsms_types::{DataType, Schema, Tuple, Value};
+    ///
+    /// let schema = Schema::shared(&[("v", DataType::Int)]);
+    /// let mut builder = PageBuilder::new(4);
+    /// builder.push_tuple(Tuple::new(schema, vec![Value::Int(1)]));
+    /// let mut page = builder.flush().unwrap();
+    /// let copy = page.share();
+    /// assert_eq!(copy.tuples().as_ptr(), page.tuples().as_ptr(), "one row allocation");
+    /// assert_eq!(copy.tuples()[0].handle_count(), 1, "no tuple gained an owner");
+    /// ```
+    pub fn share(&mut self) -> ColumnarPage {
         let rows = match std::mem::take(&mut self.rows) {
             Rows::Owned(rows) => Arc::new(rows),
             Rows::Shared(rows) => rows,
         };
-        let copy = ColumnarPage { rows: Rows::Shared(rows.clone()), puncts: self.puncts.clone() };
+        let copy = ColumnarPage {
+            rows: Rows::Shared(rows.clone()),
+            puncts: self.puncts.clone(),
+            summaries: self.summaries.clone(),
+        };
         self.rows = Rows::Shared(rows);
         copy
     }
@@ -171,6 +213,16 @@ impl ColumnarPage {
         self.puncts.iter().map(|(_, p)| p)
     }
 
+    /// Moves the punctuation lane out, in arrival order, each punctuation
+    /// with the number of rows that preceded it; the row lane and its
+    /// summaries stay.  A kernel that reads the rows by reference through
+    /// [`tuples`](Self::tuples) replays arrival order from these positions:
+    /// a punctuation at position `k` comes after row `k − 1` and before
+    /// row `k`.
+    pub fn take_punctuations(&mut self) -> impl Iterator<Item = (usize, Punctuation)> {
+        std::mem::take(&mut self.puncts).into_iter().map(|(at, p)| (at as usize, p))
+    }
+
     /// Iterates the values of one column (attribute index) across all rows.
     ///
     /// Returns `None` when the page has no rows or any row lacks the column —
@@ -184,7 +236,11 @@ impl ColumnarPage {
         Some(rows.iter().map(move |r| &r.values()[index]))
     }
 
-    /// Min/max/null summary of one column, computed on demand.
+    /// Min/max/null summary of one column, computed at most once per page
+    /// per column: the first request walks the rows and caches the result,
+    /// and every later request — on this page, or on a clone or
+    /// [`share`](Self::share) copy taken after the first request — reads
+    /// the cache.
     ///
     /// Returns `None` when no sound summary exists (empty page, or a row
     /// lacks the column) — callers must then fall back to per-tuple
@@ -206,7 +262,21 @@ impl ColumnarPage {
     /// assert!(page.column_summary(7).is_none(), "no such column");
     /// ```
     pub fn column_summary(&self, index: usize) -> Option<ColumnSummary> {
-        ColumnSummary::over_column(self.rows.as_slice(), index)
+        let rows = self.rows.as_slice();
+        // A column past the first row's arity is missing from a row: no
+        // sound summary, and no slot.
+        let arity = rows.first()?.values().len();
+        if index >= arity {
+            return None;
+        }
+        let slots = self.summaries.get_or_init(|| (0..arity).map(|_| OnceLock::new()).collect());
+        slots[index]
+            .get_or_init(|| {
+                #[cfg(test)]
+                SUMMARY_WALKS.with(|walks| walks.set(walks.get() + 1));
+                ColumnSummary::over_column(rows, index)
+            })
+            .clone()
     }
 
     /// Consumes the page, yielding interleaved items in arrival order.
@@ -347,7 +417,7 @@ impl PageBuilder {
     /// punctuation landing on an empty page would turn a 1-item page into a
     /// capacity-sized allocation.
     pub fn push_tuple(&mut self, tuple: Tuple) -> Option<Page> {
-        let rows = self.current.rows.to_mut();
+        let rows = self.current.rows_mut();
         if rows.capacity() == 0 {
             rows.reserve_exact(self.capacity);
         }
@@ -568,5 +638,92 @@ mod tests {
         assert!(page.column(0).is_some(), "column 0 exists in every row");
         assert!(page.column(1).is_none(), "column 1 is missing from one row");
         assert!(page.column_summary(1).is_none());
+    }
+
+    fn summary_walks() -> usize {
+        SUMMARY_WALKS.with(|walks| walks.get())
+    }
+
+    fn three_row_page() -> Page {
+        let mut b = PageBuilder::new(8);
+        for (ts, v) in [(1, 40), (2, 20), (3, 60)] {
+            b.push_tuple(tuple(ts, v));
+        }
+        b.flush().unwrap()
+    }
+
+    #[test]
+    fn copies_after_the_first_request_share_one_walk_per_column() {
+        let mut page = three_row_page();
+        let before = summary_walks();
+        let expected = page.column_summary(1).unwrap();
+        let copies = [page.clone(), page.share(), page.clone(), page.share()];
+        for copy in &copies {
+            assert_eq!(copy.column_summary(1).as_ref(), Some(&expected));
+            assert_eq!(copy.column_summary(1).as_ref(), Some(&expected));
+        }
+        assert_eq!(page.column_summary(1), Some(expected));
+        assert_eq!(summary_walks() - before, 1, "one walk served four copies, twice each");
+        // Another column gets its own single walk.
+        assert_eq!(copies[0].column_summary(0).unwrap().len(), 3);
+        assert_eq!(copies[3].column_summary(0).unwrap().len(), 3);
+        assert_eq!(summary_walks() - before, 2);
+    }
+
+    #[test]
+    fn a_copy_taken_before_the_first_request_summarises_on_its_own() {
+        let mut page = three_row_page();
+        let early_clone = page.clone();
+        let early_share = page.share();
+        let summary = page.column_summary(1).unwrap();
+        assert_eq!((summary.min(), summary.max()), (Some(&Value::Int(20)), Some(&Value::Int(60))));
+        assert_eq!(early_clone.column_summary(1), Some(summary.clone()));
+        assert_eq!(early_share.column_summary(1), Some(summary));
+    }
+
+    #[test]
+    fn pushes_after_a_request_never_serve_a_stale_summary() {
+        let mut page = Page::from_items(vec![StreamItem::Tuple(tuple(1, 10))]);
+        assert_eq!(page.column_summary(1).unwrap().max(), Some(&Value::Int(10)));
+        let retained = page.share();
+        page.push_tuple(tuple(2, 90));
+        let summary = page.column_summary(1).unwrap();
+        assert_eq!((summary.len(), summary.max()), (2, Some(&Value::Int(90))));
+        assert_eq!(retained.column_summary(1).unwrap().len(), 1, "the retained copy keeps its own");
+
+        // A builder starts every page with an empty cache.
+        let mut b = PageBuilder::new(4);
+        b.push_tuple(tuple(1, 5));
+        let first = b.flush().unwrap();
+        assert_eq!(first.column_summary(1).unwrap().max(), Some(&Value::Int(5)));
+        b.push_tuple(tuple(2, 7));
+        b.push_tuple(tuple(3, 3));
+        let second = b.flush().unwrap();
+        let summary = second.column_summary(1).unwrap();
+        assert_eq!((summary.min(), summary.max()), (Some(&Value::Int(3)), Some(&Value::Int(7))));
+    }
+
+    #[test]
+    fn cached_summaries_keep_the_soundness_rules() {
+        let page = three_row_page();
+        assert!(page.column_summary(2).is_none(), "out-of-range column");
+        assert!(page.column_summary(usize::MAX).is_none());
+        assert!(page.column_summary(1).is_some());
+        assert!(page.column_summary(2).is_none(), "still none once the cache exists");
+        assert!(Page::new().column_summary(0).is_none(), "empty page");
+        let only_punctuation = Page::from_items(vec![StreamItem::Punctuation(punct(1))]);
+        assert!(only_punctuation.column_summary(0).is_none());
+
+        // Mixed arity, wide row first and narrow row first.
+        let wide = Schema::shared(&[("a", DataType::Int), ("b", DataType::Int)]);
+        let narrow = Schema::shared(&[("a", DataType::Int)]);
+        let wide_row = StreamItem::Tuple(Tuple::new(wide, vec![Value::Int(1), Value::Int(2)]));
+        let narrow_row = StreamItem::Tuple(Tuple::new(narrow, vec![Value::Int(3)]));
+        for items in [vec![wide_row.clone(), narrow_row.clone()], vec![narrow_row, wide_row]] {
+            let page = Page::from_items(items);
+            assert_eq!(page.column_summary(0).unwrap().len(), 2);
+            assert!(page.column_summary(1).is_none(), "column 1 is missing from one row");
+            assert!(page.column_summary(1).is_none(), "and stays missing when cached");
+        }
     }
 }

@@ -364,6 +364,25 @@ impl WindowAggregate {
         Ok(())
     }
 
+    /// The per-tuple path: the purged-group guards, then the input guards,
+    /// then the fold.
+    fn admit(&mut self, tuple: &Tuple) -> EngineResult<()> {
+        if !self.guarded_groups.is_empty()
+            && self.guarded_groups.contains(group_key(
+                &self.group_indices,
+                tuple,
+                &mut self.scratch,
+            ))
+        {
+            self.input_guards.stats_mut().tuples_suppressed += 1;
+            return Ok(());
+        }
+        if self.input_guards.decide(tuple) == GuardDecision::Suppress {
+            return Ok(());
+        }
+        self.accumulate(tuple)
+    }
+
     /// True when the purged-group guard set provably misses every row of the
     /// page: the single group column's summary excludes every guarded group
     /// key, by range or by integer mask.  Conservative — multi-attribute
@@ -474,20 +493,7 @@ impl Operator for WindowAggregate {
         tuple: Tuple,
         _ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
-        if !self.guarded_groups.is_empty()
-            && self.guarded_groups.contains(group_key(
-                &self.group_indices,
-                &tuple,
-                &mut self.scratch,
-            ))
-        {
-            self.input_guards.stats_mut().tuples_suppressed += 1;
-            return Ok(());
-        }
-        if self.input_guards.decide(&tuple) == GuardDecision::Suppress {
-            return Ok(());
-        }
-        self.accumulate(&tuple)
+        self.admit(&tuple)
     }
 
     /// Columnar kernel: classifies the whole page against the input guards
@@ -544,7 +550,7 @@ impl Operator for WindowAggregate {
     fn on_page(
         &mut self,
         input: usize,
-        page: dsms_engine::Page,
+        mut page: dsms_engine::Page,
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         // Purged-group guards are not in the registry; a page they may touch
@@ -554,7 +560,28 @@ impl Operator for WindowAggregate {
         } else {
             BatchGuardDecision::Mixed
         };
-        guarded_pass(self, input, page, decision, ctx, |avg, tuple, _| avg.accumulate(&tuple))
+        if decision == BatchGuardDecision::SuppressAll {
+            return guarded_pass(self, input, page, decision, ctx, |_, _, _| Ok(()));
+        }
+        // The fold only reads its rows, so it walks the row lane by
+        // reference (a page shared with other ports is never cloned out
+        // tuple by tuple) and replays each punctuation at its recorded row
+        // position, in `guarded_pass`'s order.
+        let mut punctuations = page.take_punctuations().peekable();
+        for (row, tuple) in page.tuples().iter().enumerate() {
+            while let Some((_, punctuation)) = punctuations.next_if(|(at, _)| *at <= row) {
+                self.on_punctuation(input, punctuation, ctx)?;
+            }
+            if decision == BatchGuardDecision::PassAll {
+                self.accumulate(tuple)?;
+            } else {
+                self.admit(tuple)?;
+            }
+        }
+        for (_, punctuation) in punctuations {
+            self.on_punctuation(input, punctuation, ctx)?;
+        }
+        Ok(())
     }
 
     fn on_punctuation(
@@ -1469,8 +1496,10 @@ mod tests {
         enum Step {
             /// A tuple `offset` ms past the watermark.
             Tuple(i64, Value, Value),
-            /// Several such tuples in one page.
-            Page(Vec<(i64, Value, Value)>),
+            /// Several such tuples in one page, with progress punctuation
+            /// inside it: `(row position, watermark advance in ms)`, the
+            /// position clamped to the page's row count.
+            Page(Vec<(i64, Value, Value)>, Vec<(usize, i64)>),
             /// Advance the watermark by this many ms.
             Progress(i64),
             /// Declare group column `i` complete at a value.
@@ -1508,7 +1537,11 @@ mod tests {
                 row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
                 row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
                 row().prop_map(|(t, a, b)| Step::Tuple(t, a, b)),
-                proptest::collection::vec(row(), 1..8).prop_map(Step::Page),
+                (
+                    proptest::collection::vec(row(), 1..8),
+                    proptest::collection::vec((0usize..9, 0i64..250), 0..3),
+                )
+                    .prop_map(|(rows, puncts)| Step::Page(rows, puncts)),
                 (0i64..250).prop_map(Step::Progress),
                 (0usize..2, a_value()).prop_map(|(i, v)| Step::GroupComplete(i, v)),
                 (0usize..2, b_value()).prop_map(|(i, v)| Step::GroupComplete(i, v)),
@@ -1627,17 +1660,34 @@ mod tests {
                             model.tuple(watermark + offset, key(a, b));
                         }
                     }
-                    Step::Page(rows) => {
+                    Step::Page(rows, puncts) => {
                         let rows: Vec<_> =
                             rows.iter().filter(|(_, a, b)| admit(&completed, a, b)).collect();
-                        let items = rows
-                            .iter()
-                            .map(|row| StreamItem::Tuple(make(watermark, row)))
-                            .collect();
-                        op.on_page(0, Page::from_items(items), &mut ctx).unwrap();
-                        for (offset, a, b) in rows {
-                            model.tuple(watermark + offset, key(a, b));
+                        let mut puncts: Vec<(usize, i64)> =
+                            puncts.iter().map(|&(at, delta)| (at.min(rows.len()), delta)).collect();
+                        puncts.sort_by_key(|&(at, _)| at);
+                        // Rows after a punctuation are stamped past its
+                        // watermark, as the punctuation contract requires.
+                        let mut items = Vec::new();
+                        let mut puncts = puncts.into_iter().peekable();
+                        for position in 0..=rows.len() {
+                            while let Some((_, delta)) = puncts.next_if(|&(at, _)| at == position) {
+                                watermark += delta;
+                                let p = Punctuation::progress(
+                                    input(),
+                                    "timestamp",
+                                    Timestamp::from_millis(watermark),
+                                )
+                                .unwrap();
+                                items.push(StreamItem::Punctuation(p));
+                                model.progress(watermark);
+                            }
+                            if let Some(&row) = rows.get(position) {
+                                items.push(StreamItem::Tuple(make(watermark, row)));
+                                model.tuple(watermark + row.0, key(&row.1, &row.2));
+                            }
                         }
+                        op.on_page(0, Page::from_items(items), &mut ctx).unwrap();
                     }
                     Step::Progress(delta) => {
                         watermark += delta;

@@ -10,14 +10,22 @@ use std::time::{Duration, Instant};
 /// [`Operator::on_punctuation`] and each tuple to the arm `decision` picks —
 /// dropped under `SuppressAll`, given to `pass` (the kernel's guard-free
 /// body) under `PassAll`, and given to [`Operator::on_tuple`] under `Mixed`.
+/// Under `SuppressAll` the row lane is never walked: only the punctuation
+/// lane is replayed.
 pub(crate) fn guarded_pass<O: Operator>(
     op: &mut O,
     input: usize,
-    page: Page,
+    mut page: Page,
     decision: BatchGuardDecision,
     ctx: &mut OperatorContext,
     mut pass: impl FnMut(&mut O, Tuple, &mut OperatorContext) -> EngineResult<()>,
 ) -> EngineResult<()> {
+    if decision == BatchGuardDecision::SuppressAll {
+        for (_, punctuation) in page.take_punctuations() {
+            op.on_punctuation(input, punctuation, ctx)?;
+        }
+        return Ok(());
+    }
     for item in page {
         match item {
             StreamItem::Punctuation(punctuation) => op.on_punctuation(input, punctuation, ctx)?,

@@ -91,20 +91,25 @@ impl Operator for Duplicate {
     }
 
     /// Batch fast path: a page whose column summaries prove every row clear
-    /// of the active guards is copied to each output *as a page* (O(1) clones
-    /// of the shared lanes), keeping upstream batching intact across the
-    /// fan-out instead of exploding it into per-tuple routing.  A page proven
-    /// entirely covered drops its row lane wholesale; its punctuation lane
-    /// still reaches every output.  Inconclusive summaries fall back to the
-    /// exact per-item path.
-    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+    /// of the active guards is forwarded to each output *as a page*, keeping
+    /// upstream batching intact across the fan-out instead of exploding it
+    /// into per-tuple routing.  A page proven entirely covered drops its row
+    /// lane wholesale; its punctuation lane still reaches every output.
+    /// Inconclusive summaries fall back to the exact per-item path.
+    fn on_page(
+        &mut self,
+        input: usize,
+        mut page: Page,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
         let decision = self.registry.decide_batch(page.tuple_count(), |c| page.column_summary(c));
         if decision == BatchGuardDecision::PassAll {
-            // Page clones share the row/punctuation lanes, so this is N-1
-            // refcount bumps plus one move — identical item order on every
-            // output, exactly like the per-tuple path.
+            // The first N-1 outputs get `share()` copies of one row
+            // allocation (and of its summary cache), the last the page by
+            // move: no row `Vec` is copied and no tuple refcount moves, and
+            // every output sees the per-tuple path's item order.
             for port in 0..self.outputs - 1 {
-                ctx.emit_page(port, page.clone());
+                ctx.emit_page(port, page.share());
             }
             ctx.emit_page(self.outputs - 1, page);
             return Ok(());

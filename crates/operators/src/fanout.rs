@@ -33,8 +33,10 @@
 //!
 //! The data kernel is DUPLICATE's zero-copy columnar kernel: a page whose
 //! column summaries prove every attached port clear of its guards is
-//! forwarded as a page — N−1 refcount bumps plus one move, never a tuple
-//! copy.
+//! forwarded as a page — the last attached port gets the page by move, each
+//! other one a [`Page::share`] copy of the same row allocation (no row `Vec`
+//! copied, no tuple refcount touched), and every port reads the column
+//! summaries computed here from the page's shared cache.
 
 use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
@@ -189,8 +191,8 @@ impl SharedFanout {
         self
     }
 
-    /// Pages forwarded intact (refcount bumps, no copies) to every attached
-    /// port so far.
+    /// Pages forwarded intact (one shared row allocation, no copies) to
+    /// every attached port so far.
     pub fn pages_shared(&self) -> u64 {
         self.pages_shared
     }
@@ -289,19 +291,20 @@ impl Operator for SharedFanout {
         ctx: &mut OperatorContext,
     ) -> EngineResult<()> {
         // Per-port guards: a sharer's assumed feedback suppresses the tuple
-        // on that sharer's branch only.
-        let mut targets = Vec::with_capacity(self.outputs);
+        // on that sharer's branch only.  Each passing port's emission waits
+        // until the next passing port is known, so the last one gets the
+        // tuple by move and the others a clone.
+        let mut passing = None;
         for port in 0..self.outputs {
             if self.attached[port]
                 && self.registries[port].decide(&tuple) != GuardDecision::Suppress
             {
-                targets.push(port);
+                if let Some(previous) = passing.replace(port) {
+                    ctx.emit(previous, tuple.clone());
+                }
             }
         }
-        if let Some((&last, rest)) = targets.split_last() {
-            for &port in rest {
-                ctx.emit(port, tuple.clone());
-            }
+        if let Some(last) = passing {
             ctx.emit(last, tuple);
         }
         Ok(())
@@ -310,10 +313,16 @@ impl Operator for SharedFanout {
     /// Batch fast path — DUPLICATE's zero-copy kernel, per attached port:
     /// when no directive is pending and every attached port's column-summary
     /// check says [`BatchGuardDecision::PassAll`], the page is forwarded
-    /// intact to each attached port (N−1 refcount bumps plus one move).
-    /// Anything else falls back to the exact per-item path, which also
-    /// drives the boundary clock through [`SharedFanout::on_punctuation`].
-    fn on_page(&mut self, input: usize, page: Page, ctx: &mut OperatorContext) -> EngineResult<()> {
+    /// intact to each attached port: the last by move, the others as
+    /// [`Page::share`] copies of one row allocation.  Anything else falls
+    /// back to the exact per-item path, which also drives the boundary clock
+    /// through [`SharedFanout::on_punctuation`].
+    fn on_page(
+        &mut self,
+        input: usize,
+        mut page: Page,
+        ctx: &mut OperatorContext,
+    ) -> EngineResult<()> {
         self.poll_directives();
         if self.pending.is_empty() {
             let rows = page.tuple_count();
@@ -323,10 +332,9 @@ impl Operator for SharedFanout {
             });
             if all_pass {
                 self.boundaries += page.punctuation_count() as u64;
-                let targets: Vec<usize> = (0..self.outputs).filter(|&p| self.attached[p]).collect();
-                if let Some((&last, rest)) = targets.split_last() {
-                    for &port in rest {
-                        ctx.emit_page(port, page.clone());
+                if let Some(last) = self.attached.iter().rposition(|&a| a) {
+                    for port in (0..last).filter(|&p| self.attached[p]) {
+                        ctx.emit_page(port, page.share());
                     }
                     ctx.emit_page(last, page);
                     self.pages_shared += 1;

@@ -9,7 +9,9 @@
 //! 7" (bit `7 & 63` of the mask clear, though 7 lies inside the range).  The batch-level guard evaluation in `dsms-punctuation`
 //! (`PatternItem::matches_summary`) and the `FeedbackRegistry::decide_batch`
 //! fast path in `dsms-feedback` are built on these summaries; the columnar
-//! page in `dsms-engine` computes them on demand per column.
+//! page in `dsms-engine` computes each column's summary at most once per
+//! page, on the first request, and shares it with every clone of the page
+//! taken after that request.
 //!
 //! Summaries use the same comparator as per-tuple pattern matching
 //! ([`Value`]'s total order), so a range conclusion drawn from a summary is

@@ -165,6 +165,13 @@ impl Tuple {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// Number of live handles to this tuple's value buffer (this one
+    /// included): every clone adds one.  Diagnostic hook for the zero-copy
+    /// regression tests, which check that forwarding a page adds none.
+    pub fn handle_count(&self) -> usize {
+        Arc::strong_count(&self.inner)
+    }
+
     /// Projects this tuple onto the attributes at `indices` (in that order),
     /// producing a tuple of the projected schema.
     pub fn project(&self, indices: &[usize], projected_schema: SchemaRef) -> TypeResult<Tuple> {

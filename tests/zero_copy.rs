@@ -7,6 +7,7 @@
 //! would materialise a second `str` allocation and the count would *not*
 //! account for every live tuple copy.
 
+use feedback_dsms::engine::{Emission, Page, PageBuilder};
 use feedback_dsms::prelude::*;
 use std::sync::Arc;
 
@@ -127,4 +128,79 @@ fn executors_never_deep_copy_text_values() {
         drop(handles);
         assert_eq!(Arc::strong_count(&text), 1, "pooled={pooled}");
     }
+}
+
+/// An owned page of `rows` text tuples and one trailing punctuation; each
+/// tuple is held by the page alone.
+fn text_page(text: &Arc<str>, rows: i64) -> Page {
+    let mut builder = PageBuilder::new(rows as usize + 1);
+    for seg in 0..rows {
+        builder.push_tuple(text_tuple(text, seg));
+    }
+    let bound = Timestamp::from_secs(rows);
+    builder.push_punctuation(Punctuation::progress(schema(), "timestamp", bound).unwrap())
+}
+
+/// The pages a forward emitted, in emission order; a PassAll forward emits
+/// nothing else.
+fn emitted_pages(ctx: &mut OperatorContext) -> Vec<(usize, Page)> {
+    let mut pages = Vec::new();
+    ctx.drain_emissions(|port, emission| match emission {
+        Emission::Page(page) => pages.push((port, page)),
+        Emission::Item(item) => panic!("a PassAll forward emits whole pages, got {item:?}"),
+    });
+    pages
+}
+
+/// Every port got the whole page, and all of them read one row allocation:
+/// no row `Vec` was copied and no tuple gained a handle.
+fn assert_one_shared_row_lane(pages: &[(usize, Page)], ports: usize, rows: usize) {
+    let seen: Vec<usize> = pages.iter().map(|(port, _)| *port).collect();
+    assert_eq!(seen, (0..ports).collect::<Vec<_>>(), "one page per port, in port order");
+    let lane = pages[0].1.tuples().as_ptr();
+    for (port, page) in pages {
+        assert_eq!((page.tuple_count(), page.punctuation_count()), (rows, 1), "port {port}");
+        assert_eq!(page.tuples().as_ptr(), lane, "port {port} got a copied row lane");
+        for tuple in page.tuples() {
+            assert_eq!(tuple.handle_count(), 1, "port {port}: a tuple gained an owner");
+        }
+    }
+}
+
+/// A 4-port DUPLICATE forwards a guard-free page as one row allocation
+/// shared by all four outputs.
+#[test]
+fn four_way_duplicate_page_shares_one_row_lane() {
+    let text: Arc<str> = Arc::from("I-84 eastbound near the river");
+    let mut op = Duplicate::new("dup", schema(), 4);
+    let mut ctx = OperatorContext::new();
+    op.on_page(0, text_page(&text, 16), &mut ctx).unwrap();
+    let pages = emitted_pages(&mut ctx);
+    assert_one_shared_row_lane(&pages, 4, 16);
+    assert_eq!(Arc::strong_count(&text), 17, "probe + one value buffer per row");
+    drop(pages);
+    assert_eq!(Arc::strong_count(&text), 1);
+}
+
+/// A 4-port `SharedFanout` whose every port holds a guard the page's
+/// summaries prove it misses forwards the page as one row allocation
+/// shared by all four ports.
+#[test]
+fn four_port_shared_fanout_page_shares_one_row_lane() {
+    let text: Arc<str> = Arc::from("OR-99E southbound");
+    let mut op = SharedFanout::new("fanout", schema(), 4);
+    let mut ctx = OperatorContext::new();
+    for port in 0..4 {
+        let miss = PatternItem::Eq(Value::Int(100 + port as i64));
+        let pattern = Pattern::for_attributes(schema(), &[("segment", miss)]).unwrap();
+        op.on_feedback(port, FeedbackPunctuation::assumed(pattern, "query"), &mut ctx).unwrap();
+    }
+    ctx.take_feedback();
+    op.on_page(0, text_page(&text, 16), &mut ctx).unwrap();
+    let pages = emitted_pages(&mut ctx);
+    assert_one_shared_row_lane(&pages, 4, 16);
+    assert_eq!(op.pages_shared(), 1);
+    assert_eq!(Arc::strong_count(&text), 17, "probe + one value buffer per row");
+    drop(pages);
+    assert_eq!(Arc::strong_count(&text), 1);
 }
