@@ -202,6 +202,15 @@ impl ColumnarPage {
         copy
     }
 
+    /// True when another handle (a [`share`](Self::share) copy, or a
+    /// retained recovery copy) still references this page's row allocation:
+    /// iterating the page by value then clones each tuple out instead of
+    /// moving it, so a read-only kernel walks [`tuples`](Self::tuples)
+    /// by reference instead.
+    pub fn rows_shared(&self) -> bool {
+        matches!(&self.rows, Rows::Shared(rows) if Arc::strong_count(rows) > 1)
+    }
+
     /// The row lane: every tuple on the page, in arrival order, as whole
     /// zero-copy [`Tuple`] handles.
     pub fn tuples(&self) -> &[Tuple] {
@@ -588,7 +597,9 @@ mod tests {
         b.push_tuple(tuple(1, 10));
         b.push_tuple(tuple(2, 20));
         let mut page = b.push_punctuation(punct(2));
+        assert!(!page.rows_shared(), "a built page owns its row lane");
         let copy = page.share();
+        assert!(page.rows_shared() && copy.rows_shared());
         assert_eq!(copy.tuple_count(), page.tuple_count());
         assert_eq!(copy.punctuation_count(), page.punctuation_count());
         // Both handles iterate the full content even while the peer lives.
@@ -597,6 +608,7 @@ mod tests {
         assert_eq!(page.clone().into_items().len(), 3, "clone-out path under a live peer");
         drop(page);
         // With the peer gone, into_iter moves handles out again.
+        assert!(!copy.rows_shared(), "the last handle is the lane's only owner");
         assert_eq!(copy.into_items().len(), 3);
     }
 

@@ -29,11 +29,10 @@ pub(crate) fn guarded_pass<O: Operator>(
     for item in page {
         match item {
             StreamItem::Punctuation(punctuation) => op.on_punctuation(input, punctuation, ctx)?,
-            StreamItem::Tuple(tuple) => match decision {
-                BatchGuardDecision::SuppressAll => {}
-                BatchGuardDecision::PassAll => pass(op, tuple, ctx)?,
-                BatchGuardDecision::Mixed => op.on_tuple(input, tuple, ctx)?,
-            },
+            StreamItem::Tuple(tuple) if decision == BatchGuardDecision::PassAll => {
+                pass(op, tuple, ctx)?
+            }
+            StreamItem::Tuple(tuple) => op.on_tuple(input, tuple, ctx)?,
         }
     }
     Ok(())

@@ -106,8 +106,10 @@ impl Operator for Duplicate {
         if decision == BatchGuardDecision::PassAll {
             // The first N-1 outputs get `share()` copies of one row
             // allocation (and of its summary cache), the last the page by
-            // move: no row `Vec` is copied and no tuple refcount moves, and
-            // every output sees the per-tuple path's item order.
+            // move: the forward copies no row `Vec` and bumps no tuple
+            // refcount (a by-value consumer of a shared copy still clones
+            // each tuple it takes out), and every output sees the per-tuple
+            // path's item order.
             for port in 0..self.outputs - 1 {
                 ctx.emit_page(port, page.share());
             }

@@ -34,9 +34,11 @@
 //! The data kernel is DUPLICATE's zero-copy columnar kernel: a page whose
 //! column summaries prove every attached port clear of its guards is
 //! forwarded as a page — the last attached port gets the page by move, each
-//! other one a [`Page::share`] copy of the same row allocation (no row `Vec`
-//! copied, no tuple refcount touched), and every port reads the column
-//! summaries computed here from the page's shared cache.
+//! other one a [`Page::share`] copy of the same row allocation (the forward
+//! copies no row `Vec` and bumps no tuple refcount; a consumer that walks a
+//! shared copy by value still clones each tuple it takes out), and every
+//! port reads the column summaries computed here from the page's shared
+//! cache.
 
 use dsms_engine::{EngineResult, Operator, OperatorContext, Page};
 use dsms_feedback::{
